@@ -2,8 +2,10 @@
 
 The computational backbone is reduction theory for indefinite binary quadratic
 forms: narrow classes are enumerated as cycles of reduced forms, composed by
-the coprime-leading-coefficient composition formula, and collapsed to the wide
-(ordinary) class group through the form-negation pairing.  All arithmetic is
+the general Dirichlet composition formula (any signs, any common divisor of
+the leading coefficients), and collapsed to the wide (ordinary) class group
+through the form-negation pairing.  One cached object per discriminant holds
+the narrow classes, the wide classes and the identity.  All arithmetic is
 exact; numpy enters only as an int64 vectorization of the divisor scan inside
 the reduced-form enumeration, with a pure-Python fallback for big
 discriminants.
@@ -18,8 +20,9 @@ from math import gcd, isqrt
 
 import numpy as np
 
+from . import quadratic
 from .errors import DiscriminantBoundError, InvariantError
-from .lattice import QuadraticOrder
+from .lattice import QuadraticOrder, _field_discriminant
 from .quadratic import fundamental_unit, kronecker
 
 __all__ = [
@@ -112,7 +115,7 @@ class AbelianGroupStructure:
         """Invariant factors of the direct sum, re-merged into a chain."""
         primary: dict[int, list[int]] = {}
         for d in self.invariant_factors + other.invariant_factors:
-            for p, e in _factorize(d).items():
+            for p, e in quadratic._factorize(d).items():
                 primary.setdefault(p, []).append(e)
         return _chain_from_primary(primary)
 
@@ -120,19 +123,6 @@ class AbelianGroupStructure:
         if not self.invariant_factors:
             return "trivial"
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _chain_from_primary(primary: dict[int, list[int]]) -> AbelianGroupStructure:
@@ -266,135 +256,9 @@ def _enumerate_reduced_vectorized(disc: int, s: int) -> list[_Form]:
     return out
 
 
-@dataclass(frozen=True)
-class _NarrowData:
-    reps: tuple[_Form, ...]                    # canonical (lex-least) member per cycle
-    rep_of: dict[_Form, _Form]                 # reduced form -> its cycle's rep
-    cycle_of: dict[_Form, tuple[_Form, ...]]   # rep -> full cycle in rho order
-
-
-@lru_cache(maxsize=None)
-def _narrow_data(disc: int) -> _NarrowData:
-    s = _check_disc(disc)
-    forms = _enumerate_reduced(disc)
-    rep_of: dict[_Form, _Form] = {}
-    cycle_of: dict[_Form, tuple[_Form, ...]] = {}
-    reps = []
-    for form in forms:
-        if form in rep_of:
-            continue
-        cycle = _cycle_from(form, disc, s)
-        rep = min(cycle)
-        reps.append(rep)
-        cycle_of[rep] = cycle
-        for member in cycle:
-            rep_of[member] = rep
-    return _NarrowData(tuple(sorted(reps)), rep_of, cycle_of)
-
-
-@dataclass(frozen=True)
-class _WideData:
-    reps: tuple[_Form, ...]                    # one narrow rep per wide class
-    wide_of: dict[_Form, _Form]                # narrow rep -> wide rep
-    forms_of: dict[_Form, tuple[_Form, ...]]   # wide rep -> union of its cycles
-
-
-@lru_cache(maxsize=None)
-def _wide_data(disc: int) -> _WideData:
-    """Wide classes as orbits of narrow classes under C -> C * n.
-
-    n is the narrow class of the negated principal form, the kernel of the
-    narrow-to-wide quotient; it is trivial exactly when the fundamental unit
-    of the order has norm -1.
-    """
-    s = _check_disc(disc)
-    narrow = _narrow_data(disc)
-    pa, pb, pc = _principal_form(disc)
-    negated = narrow.rep_of[_reduce((-pa, -pb, -pc), disc, s)]
-    wide_of: dict[_Form, _Form] = {}
-    forms_of: dict[_Form, tuple[_Form, ...]] = {}
-    reps = []
-    for rep in narrow.reps:
-        if rep in wide_of:
-            continue
-        partner = _narrow_canonical(_compose_raw(rep, negated, disc), disc)
-        wide = min(rep, partner)
-        reps.append(wide)
-        wide_of[rep] = wide
-        wide_of[partner] = wide
-        union = narrow.cycle_of[rep]
-        if partner != rep:
-            union = union + narrow.cycle_of[partner]
-        forms_of[wide] = union
-    return _WideData(tuple(sorted(reps)), wide_of, forms_of)
-
-
-def _wide_class_forms(disc: int) -> tuple[tuple[_Form, ...], ...]:
-    """Per wide class, the union of reduced forms of its one or two cycles."""
-    data = _wide_data(disc)
-    return tuple(data.forms_of[rep] for rep in data.reps)
-
-
 # ---------------------------------------------------------------------------
-# composition
+# composition and the class-group object
 # ---------------------------------------------------------------------------
-
-
-def _transform(form: _Form, x: int, beta: int, y: int, delta: int) -> _Form:
-    a, b, c = form
-    return (
-        a * x * x + b * x * y + c * y * y,
-        2 * a * x * beta + b * (x * delta + y * beta) + 2 * c * y * delta,
-        a * beta * beta + b * beta * delta + c * delta * delta,
-    )
-
-
-def _coprime_representative(form: _Form, n: int) -> _Form:
-    """A properly equivalent form with positive leading coefficient coprime to n."""
-    a, b, c = form
-    for x, y in _coprime_value_points(form, n):
-        value = a * x * x + b * x * y + c * y * y
-        if value > 0 and gcd(value, n) == 1 and gcd(x, y) == 1:
-            g, delta, neg_beta = _ext_gcd(x, y)
-            if g < 0:  # keep the transform proper (determinant +1)
-                delta, neg_beta = -delta, -neg_beta
-            return _transform(form, x, -neg_beta, y, delta)
-    raise InvariantError(f"no representative of {form} coprime to {n} was found")
-
-
-def _coprime_value_points(form: _Form, n: int):
-    """Candidate (x, y) at which the form may take a positive value coprime to n.
-
-    A small box almost always suffices; the fallback builds a residue pair by
-    CRT (for every prime p of n one of (1,0), (0,1), (1,1) avoids p, by
-    primitivity) and then walks its coset, where an indefinite form takes
-    positive values.
-    """
-    for bound in (4, 16):
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                yield x, y
-    a, b, c = form
-    radical = 1
-    x0, y0 = 1, 0
-    for p in _factorize(abs(n)):
-        for xp, yp in ((1, 0), (0, 1), (1, 1)):
-            if (a * xp * xp + b * xp * yp + c * yp * yp) % p:
-                break
-        else:
-            return  # form not primitive modulo p; no candidate exists
-        x0 = _crt(x0, radical, xp, p)
-        y0 = _crt(y0, radical, yp, p)
-        radical *= p
-    for shift in range(200):
-        for sx in range(shift + 1):
-            sy = shift - sx
-            for ex, ey in ((sx, sy), (-sx, sy), (sx, -sy), (-sx, -sy)):
-                x, y = x0 + radical * ex, y0 + radical * ey
-                g = gcd(x, y)
-                if g:
-                    yield x // g, y // g
-    raise InvariantError(f"no representative of {form} coprime to {n} in search box")
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -409,47 +273,93 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    m1, m2 = abs(m1), abs(m2)
-    g = gcd(m1, m2)
-    if (r2 - r1) % g:
-        raise InvariantError(f"incompatible congruences {r1} mod {m1}, {r2} mod {m2}")
-    l = m1 // g * m2
-    _, inv, _ = _ext_gcd(m1 // g, m2 // g)
-    t = (r2 - r1) // g * inv % (m2 // g)
-    return (r1 + m1 * t) % l
-
-
 def _compose_raw(f1: _Form, f2: _Form, disc: int) -> _Form:
-    """Dirichlet composition after steering the leading coefficients.
+    """Dirichlet composition of two primitive forms of one discriminant.
 
-    Both inputs are first replaced by properly equivalent forms with positive,
-    coprime leading coefficients, where the composite of (a1, B, a2*C) and
-    (a2, B, a1*C) is (a1*a2, B, C).
+    With s = (b1 + b2)/2 and u*a1 + v*a2 + w*s = d = gcd(a1, a2, s), the
+    composite is (a1*a2/d^2, b3, c3) where
+    b3 = b2 + 2*(a2/d)*(v*(b1 - b2)/2 - w*c2) mod 2|a3| and
+    c3 = (b3^2 - disc)/(4*a3).  No sign or coprimality condition is placed on
+    the inputs (Cohen, A Course in Computational Algebraic Number Theory,
+    Lemma 5.4.5 and Alg. 5.4.7; Buchmann-Vollmer, Binary Quadratic Forms,
+    ch. 6).
     """
-    if f1[0] < 0:
-        f1 = _positive_leading(f1, disc)
-    if f2[0] < 0 or gcd(f1[0], f2[0]) != 1:
-        f2 = _coprime_representative(f2, f1[0])
     a1, b1, _ = f1
-    a2, b2, _ = f2
-    b = _crt(b1, 2 * a1, b2, 2 * a2)
-    a = a1 * a2
+    a2, b2, c2 = f2
+    s = (b1 + b2) // 2
+    g, _, y = _ext_gcd(a1, a2)  # x*a1 + y*a2 = g
+    d, z, w = _ext_gcd(g, s)  # z*g + w*s = d, so u = z*x, v = z*y; the sign of d cancels
+    v = z * y
+    a = a1 * a2 // (d * d)
+    b = (b2 + 2 * (a2 // d) * (v * (b1 - b2) // 2 - w * c2)) % (2 * abs(a))
     c, rem = divmod(b * b - disc, 4 * a)
     if rem:
         raise InvariantError(f"composition of {f1} and {f2} lost integrality")
     return (a, b, c)
 
 
-def _narrow_canonical(form: _Form, disc: int) -> _Form:
-    data = _narrow_data(disc)
-    return data.rep_of[_reduce(form, disc, isqrt(disc))]
-
-
 def _principal_form(disc: int) -> _Form:
     s = isqrt(disc)
     b = s if (s - disc) % 2 == 0 else s - 1
     return (1, b, (b * b - disc) // 4)
+
+
+@dataclass(frozen=True)
+class _ClassData:
+    """Narrow and wide classes of one discriminant.
+
+    A narrow class is named by the lexicographically least reduced form of its
+    cycle, a wide class by the lesser of its (one or two) narrow classes.
+    """
+
+    disc: int
+    narrow_of: dict[_Form, _Form]  # reduced form -> its narrow class
+    wide_of: dict[_Form, _Form]    # narrow class -> its wide class
+    identity: _Form                # wide class of the principal form
+
+    @property
+    def classes(self) -> list[_Form]:
+        """The wide classes, sorted."""
+        return sorted(set(self.wide_of.values()))
+
+    def narrow(self, form: _Form) -> _Form:
+        """Narrow class of any form of the discriminant."""
+        return self.narrow_of[_reduce(form, self.disc, isqrt(self.disc))]
+
+    def mul(self, x: _Form, y: _Form) -> _Form:
+        """Wide class of the composite of x and y."""
+        return self.wide_of[self.narrow(_compose_raw(x, y, self.disc))]
+
+
+@lru_cache(maxsize=None)
+def _class_data(disc: int) -> _ClassData:
+    """Class data of the discriminant, from its reduced-form cycles.
+
+    Wide classes are orbits of narrow classes under C -> C * n, where n is the
+    narrow class of the negated principal form, the kernel of the
+    narrow-to-wide quotient; it is trivial exactly when the fundamental unit
+    of the order has norm -1.
+    """
+    s = _check_disc(disc)
+    narrow_of: dict[_Form, _Form] = {}
+    for form in _enumerate_reduced(disc):
+        if form not in narrow_of:
+            cycle = _cycle_from(form, disc, s)
+            rep = min(cycle)
+            for member in cycle:
+                narrow_of[member] = rep
+
+    def narrow(form: _Form) -> _Form:
+        return narrow_of[_reduce(form, disc, s)]
+
+    pa, pb, pc = _principal_form(disc)
+    negated = narrow((-pa, -pb, -pc))
+    wide_of: dict[_Form, _Form] = {}
+    for rep in set(narrow_of.values()):
+        if rep not in wide_of:
+            partner = narrow(_compose_raw(rep, negated, disc))
+            wide_of[rep] = wide_of[partner] = min(rep, partner)
+    return _ClassData(disc, narrow_of, wide_of, wide_of[narrow((pa, pb, pc))])
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +397,7 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticFo
         raise ValueError("composition needs primitive forms")
     disc = f.discriminant
     raw = _compose_raw(f.as_tuple(), g.as_tuple(), disc)
-    return BinaryQuadraticForm(*_narrow_canonical(raw, disc))
-
-
-def _positive_leading(form: _Form, disc: int) -> _Form:
-    """Some properly equivalent form with positive leading coefficient."""
-    s = isqrt(disc)
-    cur = _reduce(form, disc, s)
-    if cur[0] > 0:
-        return cur
-    return _rho(cur, disc, s)  # leading coefficients alternate in sign along a cycle
+    return BinaryQuadraticForm(*_class_data(disc).narrow(raw))
 
 
 @lru_cache(maxsize=None)
@@ -506,8 +407,7 @@ def class_number_maximal(D: int) -> int:
     Counts reduced-form cycles of the field discriminant (the narrow class
     number) and halves it when the fundamental unit has norm +1.
     """
-    d_K = D if D % 4 == 1 else 4 * D
-    h_narrow = len(_narrow_data(d_K).reps)
+    h_narrow = len(_class_data(_field_discriminant(D)).wide_of)
     _, norm = fundamental_unit(D)
     if norm == -1:
         return h_narrow
@@ -542,9 +442,9 @@ def unit_index(order: QuadraticOrder) -> int:
 def _class_number_order(D: int, f: int) -> int:
     h = class_number_maximal(D)
     e_f = _unit_index(D, f)
-    d_K = D if D % 4 == 1 else 4 * D
+    d_K = _field_discriminant(D)
     value = Fraction(h * f, e_f)
-    for p in _factorize(f):
+    for p in quadratic._factorize(f):
         value *= 1 - Fraction(kronecker(d_K, p), p)
     if value.denominator != 1 or value <= 0:
         raise InvariantError(
@@ -569,37 +469,32 @@ def class_number_order(order: QuadraticOrder) -> int:
     return _class_number_order(order.D, order.f)
 
 
-def _wide_compose(x: _Form, y: _Form, disc: int, wide_of: dict[_Form, _Form]) -> _Form:
-    return wide_of[_narrow_canonical(_compose_raw(x, y, disc), disc)]
-
-
-def _element_power(x: _Form, e: int, disc: int, identity: _Form, wide_of) -> _Form:
-    result = identity
+def _element_power(data: _ClassData, x: _Form, e: int) -> _Form:
+    result = data.identity
     base = x
     while e:
         if e & 1:
-            result = _wide_compose(result, base, disc, wide_of)
+            result = data.mul(result, base)
         e >>= 1
         if e:
-            base = _wide_compose(base, base, disc, wide_of)
+            base = data.mul(base, base)
     return result
 
 
-def _invariant_factors(elements, disc, identity, wide_of) -> AbelianGroupStructure:
+def _invariant_factors(data: _ClassData) -> AbelianGroupStructure:
+    elements = data.classes
     n = len(elements)
     if n == 1:
         return AbelianGroupStructure(())
     primary: dict[int, list[int]] = {}
-    for p in _factorize(n):
+    for p in quadratic._factorize(n):
         # count solutions of x**(p**k) = identity; the p-adic valuations of the
         # counts give the conjugate of the exponent partition
         valuations = [0]
         while True:
             k = len(valuations)
             count = sum(
-                1
-                for x in elements
-                if _element_power(x, p**k, disc, identity, wide_of) == identity
+                1 for x in elements if _element_power(data, x, p**k) == data.identity
             )
             v = 0
             while count % p == 0:
@@ -641,9 +536,7 @@ def class_group_structure(
     disc = order.discriminant
     if disc > bound:
         raise DiscriminantBoundError(disc, bound)
-    wide = _wide_data(disc)
-    identity = wide.wide_of[_narrow_canonical(_principal_form(disc), disc)]
-    structure = _invariant_factors(wide.reps, disc, identity, wide.wide_of)
+    structure = _invariant_factors(_class_data(disc))
     expected = class_number_order(order)
     if structure.order != expected:
         raise InvariantError(

@@ -51,7 +51,22 @@ def _max_disc(args) -> int | None:
     if getattr(args, "max_disc", None) is not None:
         return args.max_disc
     env = os.environ.get("QDE_MAX_DISC")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"QDE_MAX_DISC must be an integer, got {env!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _cmd_cf(args) -> int:
@@ -234,7 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("validate", _cmd_validate, "check curve data against |Sha| = (1+rank)^2")
     p.add_argument("--input", required=True, help="path to the data file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1, help="parallel validation workers")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="accepted for compatibility (>= 1); validation always runs serially",
+    )
 
     return parser
 

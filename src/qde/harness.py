@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CurveDataError
@@ -175,6 +174,7 @@ def _parse_json(path: str) -> list[CurveRecord]:
     seen: set[str] = set()
     allowed = set(_BASE_COLUMNS) | set(_OPTIONAL_COLUMNS)
     for i, item in enumerate(data):
+        data[i] = None  # drop each parsed row once read, so rows and records never all coexist
         where = f"row {i}"
         if not isinstance(item, dict):
             problems.append(f"{where}: expected an object")
@@ -208,41 +208,25 @@ def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
     raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
 
 
-def _check_chunk(records) -> list[tuple[str, int, int, int] | None]:
-    out = []
-    for r in records:
-        predicted = (1 + r.rank) ** 2
-        out.append(None if r.sha_order == predicted else (r.label, r.rank, r.sha_order, predicted))
-    return out
-
-
 def validate(records, jobs: int = 1) -> ValidationReport:
     """Mark each record consistent iff sha_order = (1 + rank)**2 and aggregate.
 
-    With jobs > 1 the records are checked in parallel chunks; the merge is
-    deterministic, so the report is identical to the serial one.
+    The check is one comparison per record and always runs serially; jobs
+    (at least 1) is accepted for compatibility and does not change the report.
     """
     records = list(records)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(records) < 2:
-        outcomes = _check_chunk(records)
-    else:
-        chunks = [records[i::jobs] for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_chunk, chunks))
-        outcomes = [None] * len(records)
-        for i, chunk_result in enumerate(results):
-            outcomes[i::jobs] = chunk_result
     by_rank: dict[int, list[int]] = {}
     violation_rows = []
-    for record, outcome in zip(records, outcomes):
-        stats = by_rank.setdefault(record.rank, [0, 0])
+    for r in records:
+        stats = by_rank.setdefault(r.rank, [0, 0])
         stats[0] += 1
-        if outcome is None:
+        predicted = (1 + r.rank) ** 2
+        if r.sha_order == predicted:
             stats[1] += 1
         else:
-            violation_rows.append(outcome)
+            violation_rows.append((r.label, r.rank, r.sha_order, predicted))
     violation_rows.sort()
     return ValidationReport(
         total=len(records),

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from .classgroup import (
     AbelianGroupStructure,
     BinaryQuadraticForm,
-    _narrow_canonical,
-    _principal_form,
-    _wide_data,
+    _class_data,
     class_number_order,
     galois_group_Kab,
 )
@@ -69,10 +67,10 @@ def crossed_product_k0(
     order = endomorphism_ring(theta)
     h = class_number_order(order)
     galois = galois_group_Kab(order, max_disc=max_disc)
-    disc = order.discriminant
-    wide = _wide_data(disc)
-    identity = wide.wide_of[_narrow_canonical(_principal_form(disc), disc)]
-    lambda_forms = tuple(BinaryQuadraticForm(*rep) for rep in wide.reps if rep != identity)
+    data = _class_data(order.discriminant)
+    lambda_forms = tuple(
+        BinaryQuadraticForm(*rep) for rep in data.classes if rep != data.identity
+    )
     if len(lambda_forms) != h - 1:
         raise InvariantError(
             f"expected {h - 1} nonprincipal classes, found {len(lambda_forms)}"

@@ -20,6 +20,11 @@ __all__ = [
 Generator = Fraction | QuadraticIrrational
 
 
+def _field_discriminant(D: int) -> int:
+    """Discriminant d_K of Q(sqrt(D)) for squarefree D > 1."""
+    return D if D % 4 == 1 else 4 * D
+
+
 @dataclass(frozen=True)
 class QuadraticOrder:
     """The order Z + f*O_k of conductor f in the real quadratic field Q(sqrt(D))."""
@@ -35,7 +40,7 @@ class QuadraticOrder:
 
     @property
     def field_discriminant(self) -> int:
-        return self.D if self.D % 4 == 1 else 4 * self.D
+        return _field_discriminant(self.D)
 
     @property
     def discriminant(self) -> int:
@@ -149,7 +154,7 @@ def endomorphism_ring(theta: QuadraticIrrational) -> QuadraticOrder:
     f**2 * d_K, which pins down the conductor.
     """
     disc = theta.discriminant()
-    d_K = theta.D if theta.D % 4 == 1 else 4 * theta.D
+    d_K = _field_discriminant(theta.D)
     f2, rem = divmod(disc, d_K)
     if rem:
         raise InvariantError(f"discriminant {disc} is not a multiple of d_K = {d_K}")
@@ -170,11 +175,13 @@ def companion_tori(order: QuadraticOrder) -> list[QuadraticIrrational]:
     from . import classgroup  # deferred: classgroup imports QuadraticOrder from here
 
     disc = order.discriminant
-    reps = []
-    for forms in classgroup._wide_class_forms(disc):
-        a, b, _ = min(f for f in forms if f[0] > 0)
-        reps.append((a, b))
-    out = []
-    for a, b in sorted(reps):
-        out.append(QuadraticIrrational.canonical(-b, 1, 2 * a, disc))
-    return out
+    data = classgroup._class_data(disc)
+    least = {}  # wide class -> its least reduced form with a > 0
+    for form, narrow in data.narrow_of.items():
+        if form[0] > 0:
+            wide = data.wide_of[narrow]
+            least[wide] = min(form, least.get(wide, form))
+    return [
+        QuadraticIrrational.canonical(-b, 1, 2 * a, disc)
+        for a, b, _ in sorted(least.values())
+    ]

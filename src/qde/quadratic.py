@@ -34,23 +34,30 @@ __all__ = [
 ]
 
 
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, by trial division."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 1 as s**2 * r with r squarefree; return (s, r)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s, r, m = 1, 1, n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                r *= d
-        d += 1 if d == 2 else 2
-    return s, r * m
+    s = r = 1
+    for p, e in _factorize(n).items():
+        s *= p ** (e // 2)
+        if e % 2:
+            r *= p
+    return s, r
 
 
 def _is_squarefree(n: int) -> bool:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -12,11 +13,8 @@ from oracles import (
 from qde.classgroup import (
     AbelianGroupStructure,
     BinaryQuadraticForm,
-    _compose_raw,
-    _narrow_canonical,
-    _narrow_data,
+    _class_data,
     _principal_form,
-    _wide_data,
     class_group_structure,
     class_number_maximal,
     class_number_order,
@@ -76,10 +74,13 @@ def test_reduce_cycle_rejects_imprimitive():
 
 @pytest.mark.parametrize("disc", SWEEP_DISCS[:40])
 def test_cycles_partition_all_reduced_forms(disc):
-    data = _narrow_data(disc)
+    members = {}
+    for form, rep in _class_data(disc).narrow_of.items():
+        members.setdefault(rep, set()).add(form)
     everything = set()
-    for rep in data.reps:
-        cycle = set(data.cycle_of[rep])
+    for rep, forms in members.items():
+        cycle = {f.as_tuple() for f in reduce_cycle(BinaryQuadraticForm(*rep))}
+        assert forms == cycle and rep == min(cycle)
         assert not (cycle & everything)  # cycles are disjoint
         everything |= cycle
     assert everything == reduced_forms_reference(disc)
@@ -91,7 +92,8 @@ def test_cycles_partition_all_reduced_forms(disc):
 
 
 def _classes(disc):
-    return [BinaryQuadraticForm(*rep) for rep in _narrow_data(disc).reps]
+    narrow = set(_class_data(disc).narrow_of.values())
+    return [BinaryQuadraticForm(*rep) for rep in sorted(narrow)]
 
 
 def test_compose_identity_and_inverse_laws():
@@ -128,26 +130,44 @@ def test_compose_rejects_mismatched_discriminants():
         compose(BinaryQuadraticForm(1, 1, -1), BinaryQuadraticForm(1, 2, -1))
 
 
-def test_coprime_representative_crt_fallback():
-    # engineer n so that no value of the form on the small search box is
-    # coprime to it; the residue-construction fallback must still succeed
-    from math import gcd
+def _act(form, p, q, r, s):
+    """The form f(p*x + q*y, r*x + s*y)."""
+    a, b, c = form
+    return (
+        a * p * p + b * p * r + c * r * r,
+        2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+        a * q * q + b * q * s + c * s * s,
+    )
 
-    from qde.classgroup import _coprime_representative, _factorize
 
-    form = (3, 2, -3)  # discriminant 40
-    primes = set()
-    for x in range(-16, 17):
-        for y in range(-16, 17):
-            value = 3 * x * x + 2 * x * y - 3 * y * y
-            if value:
-                primes |= set(_factorize(abs(value)))
-    n = 1
-    for p in primes:
-        n *= p
-    a, b, c = _coprime_representative(form, n)
-    assert a > 0 and gcd(a, n) == 1
-    assert b * b - 4 * a * c == 40
+def _random_sl2(rng):
+    p, q, r, s = 1, 0, 0, 1
+    for _ in range(rng.randrange(1, 5)):
+        k = rng.choice([x for x in range(-3, 4) if x])
+        if rng.random() < 0.5:
+            p, q, r, s = p, q + k * p, r, s + k * r  # times [[1, k], [0, 1]]
+        else:
+            p, q, r, s = p + k * q, q, r + k * s, s  # times [[1, 0], [k, 1]]
+    return p, q, r, s
+
+
+def test_compose_is_invariant_under_proper_equivalence():
+    # composition is a map on classes: replacing either input by any properly
+    # equivalent, unreduced form must not change the canonical product
+    rng = random.Random(20261017)
+    seen = {"negative": 0, "equal": 0, "divides": 0}
+    for disc in SWEEP_DISCS[:30]:
+        classes = _classes(disc)
+        for f, g in product(classes[:5], repeat=2):
+            expected = compose(f, g)
+            for _ in range(4):
+                f2 = _act(f.as_tuple(), *_random_sl2(rng))
+                g2 = f2 if f == g and rng.random() < 0.5 else _act(g.as_tuple(), *_random_sl2(rng))
+                assert compose(BinaryQuadraticForm(*f2), BinaryQuadraticForm(*g2)) == expected
+                seen["negative"] += f2[0] < 0 or g2[0] < 0
+                seen["equal"] += f2[0] == g2[0]
+                seen["divides"] += abs(f2[0]) < abs(g2[0]) and g2[0] % f2[0] == 0
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +203,6 @@ def test_wide_classes_match_gl2_orbits_for_every_small_discriminant():
     # composition with the negated-principal class, and orbits of the roots of
     # all reduced forms under tail equivalence of continued fractions
     from oracles import order_parameters
-    from qde.classgroup import _wide_data
 
     def canonical_rotation(period):
         k = len(period)
@@ -191,12 +210,12 @@ def test_wide_classes_match_gl2_orbits_for_every_small_discriminant():
 
     for D, f in order_parameters(2000):
         disc = QuadraticOrder(D, f).discriminant
-        data = _narrow_data(disc)
+        data = _class_data(disc)
         orbits = set()
-        for a, b, c in data.reps:
+        for a, b, c in set(data.narrow_of.values()):
             root = QuadraticIrrational.canonical(-b, 1, 2 * a, disc)
             orbits.add(canonical_rotation(cf_expand(root).period))
-        assert len(orbits) == len(_wide_data(disc).reps), (D, f)
+        assert len(orbits) == len(set(data.wide_of.values())), (D, f)
 
 
 def test_class_number_maximal_against_gl2_orbit_count():
@@ -274,17 +293,18 @@ def test_class_group_structure_certified_by_solution_counts():
         order = QuadraticOrder(D, 1)
         structure = class_group_structure(order)
         disc = order.discriminant
-        wide = _wide_data(disc)
-        identity = wide.wide_of[_narrow_canonical(_principal_form(disc), disc)]
+        data = _class_data(disc)
+        wide_classes = sorted(set(data.wide_of.values()))
+        assert data.identity == data.wide_of[data.narrow(_principal_form(disc))]
 
         def power(x, e):
-            result = identity
+            result = data.identity
             for _ in range(e):
-                result = wide.wide_of[_narrow_canonical(_compose_raw(result, x, disc), disc)]
+                result = data.mul(result, x)
             return result
 
         assert solution_counts_certify(
-            wide.reps, power, identity, structure.invariant_factors
+            wide_classes, power, data.identity, structure.invariant_factors
         )
 
 

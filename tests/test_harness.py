@@ -173,7 +173,7 @@ def test_cli_domain_errors_exit_1(capsys):
     assert main(["validate", "--input", "/nonexistent.csv"]) == 1
 
 
-def test_cli_usage_errors_exit_2(capsys):
+def test_cli_usage_errors_exit_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as info:
         main(["bogus"])
     assert info.value.code == 2
@@ -183,6 +183,14 @@ def test_cli_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["classgroup"])  # neither --theta nor --D
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--input", str(FIXTURES / "curves.csv"), "--jobs", "0"])
+    assert info.value.code == 2
+    monkeypatch.setenv("QDE_MAX_DISC", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["classgroup", "--D", "10"])
+    assert info.value.code == 2
+    assert "QDE_MAX_DISC" in capsys.readouterr().err
 
 
 def test_cli_max_disc_flag_and_env(capsys, monkeypatch):
