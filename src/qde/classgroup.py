@@ -522,6 +522,13 @@ def _invariant_factors(data: _ClassData) -> AbelianGroupStructure:
     return structure
 
 
+def _check_bound(order: QuadraticOrder, max_disc: int | None) -> None:
+    """Refuse an order above the desk-scale bound, before any class data is built."""
+    bound = DEFAULT_MAX_DISC if max_disc is None else max_disc
+    if order.discriminant > bound:
+        raise DiscriminantBoundError(order.discriminant, bound)
+
+
 def class_group_structure(
     order: QuadraticOrder, max_disc: int | None = None
 ) -> AbelianGroupStructure:
@@ -532,11 +539,8 @@ def class_group_structure(
     Bounded by a desk-scale discriminant ceiling (DEFAULT_MAX_DISC unless
     overridden).
     """
-    bound = DEFAULT_MAX_DISC if max_disc is None else max_disc
-    disc = order.discriminant
-    if disc > bound:
-        raise DiscriminantBoundError(disc, bound)
-    structure = _invariant_factors(_class_data(disc))
+    _check_bound(order, max_disc)
+    structure = _invariant_factors(_class_data(order.discriminant))
     expected = class_number_order(order)
     if structure.order != expected:
         raise InvariantError(

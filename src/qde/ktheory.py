@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .classgroup import (
     AbelianGroupStructure,
     BinaryQuadraticForm,
+    _check_bound,
     _class_data,
     class_number_order,
     galois_group_Kab,
@@ -65,6 +66,7 @@ def crossed_product_k0(
 ) -> KTheoryDescriptor:
     """K0 descriptor of the crossed product for the given theta."""
     order = endomorphism_ring(theta)
+    _check_bound(order, max_disc)
     h = class_number_order(order)
     galois = galois_group_Kab(order, max_disc=max_disc)
     data = _class_data(order.discriminant)

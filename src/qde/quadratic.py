@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt
 
 from .errors import (
@@ -48,8 +49,12 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=1024)
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n >= 1 as s**2 * r with r squarefree; return (s, r)."""
+    """Write n >= 1 as s**2 * r with r squarefree; return (s, r).
+
+    Cached, so the constructor checks of values in one field factor D once.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     s = r = 1
@@ -187,9 +192,10 @@ class ContinuedFraction:
             raise ValueError(
                 f"preperiod quotients after the first must be >= 1, got {self.preperiod}"
             )
+        # a shorter repeating block divides k, so it divides k // p for a prime p | k
         k = len(self.period)
-        for d in range(1, k):
-            if k % d == 0 and self.period == self.period[:d] * (k // d):
+        for p in _factorize(k):
+            if self.period == self.period[: k // p] * p:
                 raise ValueError(f"period {self.period} is a repetition of a shorter block")
         if self.preperiod and self.preperiod[-1] == self.period[-1]:
             raise ValueError(
@@ -302,13 +308,35 @@ def _radical_sign(p: int, q: int, D: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _pq_steps(P: int, Q: int, N: int):
+    """Run the continued-fraction recurrence of theta_0 = (P + sqrt(N))/Q.
+
+    Needs Q | N - P*P and N not a square.  Yields (a_n, P_{n+1}, Q_{n+1}) for
+    n = 0, 1, ...: the partial quotient of theta_n and the state of
+    theta_{n+1} = 1/(theta_n - a_n) = (P_{n+1} + sqrt(N))/Q_{n+1}.
+    """
+    s = isqrt(N)
+    while True:
+        if Q > 0:
+            a = (P + s) // Q
+        else:
+            a = (-P - s - 1) // (-Q)
+        P = a * Q - P
+        Q, rem = divmod(N - P * P, Q)
+        if rem:
+            raise InvariantError("continued-fraction state recurrence lost exactness")
+        yield a, P, Q
+
+
 def cf_expand(theta: QuadraticIrrational) -> ContinuedFraction:
     """Expand theta into its periodic continued fraction.
 
     The expansion runs the integer recurrence on states (P, Q) with
-    theta_n = (P_n + sqrt(N))/Q_n, N fixed.  The state determines the whole
-    tail, so the first repeated state marks both the minimal preperiod and the
-    minimal period.
+    theta_n = (P_n + sqrt(N))/Q_n, N fixed.  By Galois's theorem theta_n has a
+    purely periodic expansion exactly when it is reduced (theta_n > 1 and
+    -1 < conj(theta_n) < 0), so the minimal preperiod ends at the first
+    reduced state and the minimal period at the first return to that state.
+    Only the quotients are stored.
     """
     if theta.b > 0:
         P, Q = theta.a, theta.c
@@ -319,22 +347,18 @@ def cf_expand(theta: QuadraticIrrational) -> ContinuedFraction:
         t = abs(Q)
         P, Q, N = P * t, Q * t, N * t * t
     s = isqrt(N)
-    seen: dict[tuple[int, int], int] = {}
+    steps = _pq_steps(P, Q, N)
     quotients: list[int] = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(quotients)
-        if Q > 0:
-            a = (P + s) // Q
-        else:
-            a = (-P - s - 1) // (-Q)
+    # reduced, with s = isqrt(N): Q > 0, Q - s <= P <= s and s - P < Q
+    while not (0 < Q and Q - s <= P <= s and s - P < Q):
+        a, P, Q = next(steps)
         quotients.append(a)
-        P = a * Q - P
-        Q2, rem = divmod(N - P * P, Q)
-        if rem:
-            raise InvariantError("continued-fraction state recurrence lost exactness")
-        Q = Q2
-    start = seen[(P, Q)]
-    return ContinuedFraction(tuple(quotients[:start]), tuple(quotients[start:]))
+    start, first = len(quotients), (P, Q)
+    while True:
+        a, P, Q = next(steps)
+        quotients.append(a)
+        if (P, Q) == first:
+            return ContinuedFraction(tuple(quotients[:start]), tuple(quotients[start:]))
 
 
 def _convergent_matrix(quotients) -> tuple[int, int, int, int]:
@@ -397,36 +421,34 @@ def gl2z_equivalent(t1: QuadraticIrrational, t2: QuadraticIrrational) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _omega(D: int) -> QuadraticIrrational:
-    if D % 4 == 1:
-        return QuadraticIrrational(1, 1, 2, D)
-    return QuadraticIrrational(0, 1, 1, D)
-
-
 @lru_cache(maxsize=None)
 def fundamental_unit(D: int) -> tuple[QuadraticInteger, int]:
     """Smallest unit epsilon > 1 of the ring of integers of Q(sqrt(D)).
 
-    Returns (epsilon, norm) with norm in {+1, -1}.  Candidates are scanned
-    along the convergents p/q of omega; every unit exceeding 1 appears as
-    p - q*conj(omega), so the first candidate of norm +-1 is the fundamental
-    unit.
+    Returns (epsilon, norm) with norm in {+1, -1}.  The unit is read off the
+    period of omega = (P_0 + sqrt(D))/Q_0: every unit exceeding 1 is
+    p - q*conj(omega) for a convergent p/q of omega, and the candidate of
+    convergent k has norm +-Q_{k+1}/Q_0.  So the first candidate of norm +-1
+    is the one at the first step where Q returns to Q_0, the end of the
+    period; it is built once and its norm and size are checked exactly.
     """
     if D <= 1 or not _is_squarefree(D):
         raise ValueError(f"D must be squarefree and > 1, got {D}")
-    omega = _omega(D)
-    cf = cf_expand(omega)
     t = 1 if D % 4 == 1 else 0
-    limit = len(cf.preperiod) + 2 * len(cf.period) + 4
+    Q0 = 1 + t
+    # log(epsilon) < sqrt(d)*(log(d)/2 + 1) for the field discriminant d (Hua)
+    # and q_k >= Fibonacci(k + 1), so the period is shorter than this limit
+    d = D if t else 4 * D
+    limit = (isqrt(d) + 1) * (d.bit_length() + 3)
     p, p1, q, q1 = 1, 0, 0, 1
-    for a in cf.quotients(limit):
+    for a, _, Q in islice(_pq_steps(t, Q0, D), limit):
         p, p1 = a * p + p1, p
         q, q1 = a * q + q1, q
-        unit = QuadraticInteger(p - t * q, q, D)
-        norm = unit.norm()
-        if norm in (1, -1):
-            if not unit.exceeds_one():
-                raise InvariantError(f"unit candidate for D={D} does not exceed 1")
+        if Q == Q0:
+            unit = QuadraticInteger(p - t * q, q, D)
+            norm = unit.norm()
+            if norm not in (1, -1) or not unit.exceeds_one():
+                raise InvariantError(f"the period end for D={D} is not a unit > 1")
             return unit, norm
     raise InvariantError(f"no unit found within {limit} convergents for D={D}")
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths of the package under test:
 continued fractions run on a Mobius-transform state instead of the (P, Q)
-recurrence, units come from a raw Pell-style coordinate scan, class data from
+recurrence, units come from a raw Pell-style coordinate scan or from a norm
+test at every convergent instead of the end of the period, class data from
 a direct double loop over form coefficients, and group structures are checked
 through solution counts.
 """
@@ -124,6 +125,31 @@ def smallest_unit_reference(D: int, y_cap: int):
             x, norm = min(candidates)
             return x, y, norm
     return None
+
+
+def unit_by_norm_scan(D: int) -> tuple[int, int, int]:
+    """The fundamental unit (x, y, norm) by a norm test at every convergent.
+
+    Walks the convergents p/q of omega, with quotients from the textbook
+    recurrence on (m + sqrt(D))/d, and returns the first candidate
+    x + y*omega = p - q*conj(omega) whose norm x**2 + t*x*y + n*y**2 is +-1.
+    Plain integers throughout; no period detection.
+    """
+    t = 1 if D % 4 == 1 else 0
+    n = (1 - D) // 4 if t else -D
+    r = isqrt(D)
+    m, d = t, 1 + t
+    p, p1, q, q1 = 1, 0, 0, 1
+    while True:
+        a = (m + r) // d
+        p, p1 = a * p + p1, p
+        q, q1 = a * q + q1, q
+        x, y = p - t * q, q
+        norm = x * x + t * x * y + n * y * y
+        if norm in (1, -1):
+            return x, y, norm
+        m = a * d - m
+        d = (D - m * m) // d
 
 
 def legendre_by_squares(a: int, p: int) -> int:

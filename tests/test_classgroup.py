@@ -328,6 +328,24 @@ def test_desk_scale_bound_is_reported():
     assert "30" in str(info.value)
 
 
+def test_refusal_comes_before_any_class_data_is_built():
+    # disc 399999956: enumerating it takes about a second before the bound
+    from qde.ktheory import crossed_product_k0
+    from qde.predict import predict
+
+    theta = QuadraticIrrational(0, 1, 1, 99999989)
+    order = QuadraticOrder(99999989, 1)
+    before = _class_data.cache_info()
+    for refuse in (
+        lambda: predict(theta),
+        lambda: crossed_product_k0(theta),
+        lambda: class_group_structure(order),
+    ):
+        with pytest.raises(DiscriminantBoundError, match="desk-scale bound 1000000"):
+            refuse()
+    assert _class_data.cache_info() == before
+
+
 def test_galois_group_is_the_class_group():
     for D in (5, 10, 79, 82):
         order = QuadraticOrder(D, 1)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import jsonschema
 import pytest
@@ -165,6 +166,23 @@ def test_cli_validate_fixture(capsys):
     assert report["consistent"] + report["violations"] == report["total"]
     flagged = {row["label"] for row in report["violation_rows"]}
     assert "37a1" in flagged and "11a1" not in flagged
+
+
+def test_cli_prints_a_unit_beyond_the_int_str_digit_limit(capsys):
+    # epsilon for D = 1000000007 has about 6,400 digits; the digit limit is
+    # lifted while main runs and set back to the caller's value afterwards
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["unit", "--D", "1000000007", "--json"]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        payload = json.loads(capsys.readouterr().out)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    x, y, norm = payload["x"], payload["y"], payload["norm"]
+    assert x.bit_length() > 4300 * 3
+    assert norm in (1, -1) and x * x - 1000000007 * y * y == norm  # omega = sqrt(D)
 
 
 def test_cli_domain_errors_exit_1(capsys):

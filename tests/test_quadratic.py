@@ -13,6 +13,7 @@ from oracles import (
     sign_radical,
     smallest_unit_reference,
     squarefree_up_to,
+    unit_by_norm_scan,
 )
 from qde.errors import FieldMismatchError, ParseError, RationalValueError
 from qde.quadratic import (
@@ -165,6 +166,26 @@ def test_cf_matches_reference_on_random_inputs(rng):
         assert (list(cf.preperiod), list(cf.period)) == (ref_pre, ref_per)
 
 
+def test_cf_matches_reference_on_long_preperiods(rng):
+    # c | a*a - b*b*D keeps the discriminant, and so the period, small while
+    # the large a and c take many steps to reach the first reduced state
+    squarefree = squarefree_up_to(200)
+    preperiods = []
+    while len(preperiods) < 100:
+        D = rng.choice(squarefree)
+        b = rng.choice([x for x in range(-9, 10) if x])
+        c = rng.randrange(1, 10**4 + 1)
+        roots = [x for x in range(c) if (x * x - b * b * D) % c == 0]
+        if not roots:
+            continue
+        a = rng.choice(roots) + c * rng.randrange(-(10**6) // c, 10**6 // c)
+        theta = QuadraticIrrational.canonical(a, b, c * rng.choice((1, -1)), D)
+        cf = cf_expand(theta)
+        assert (list(cf.preperiod), list(cf.period)) == cf_expand_reference(theta), theta
+        preperiods.append(len(cf.preperiod))
+    assert max(preperiods) >= 6
+
+
 def test_cf_matches_sympy_on_random_inputs(rng):
     for _ in range(60):
         theta = random_theta(rng, d_limit=120)
@@ -236,7 +257,12 @@ def test_continued_fraction_validation():
         ContinuedFraction((), (2, 2))  # period not minimal
     with pytest.raises(ValueError):
         ContinuedFraction((1, 2), (3, 2))  # preperiod foldable into the period
+    for period in ((1, 2) * 6, (1, 1, 2) * 4, (3,) * 8, (1, 2, 2) * 9):
+        with pytest.raises(ValueError, match="repetition of a shorter block"):
+            ContinuedFraction((), period)  # composite repeat counts
     ContinuedFraction((-4, 1), (2, 3))  # leading quotient may be any integer
+    ContinuedFraction((), (1, 2, 1, 2, 1, 3))  # near-repeats are minimal
+    ContinuedFraction((), (2, 1, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +288,14 @@ def test_fundamental_unit_pell_law():
         assert unit.exceeds_one()
         reference = smallest_unit_reference(D, 10**6)
         assert reference == (unit.x, unit.y, norm)
+
+
+def test_fundamental_unit_matches_norm_scan():
+    # the unit read off the end of the period is the first convergent
+    # candidate of norm +-1, on every small field and on three large ones
+    for D in squarefree_up_to(3000) + [9999907, 10000139, 99999989]:
+        unit, norm = fundamental_unit(D)
+        assert (unit.x, unit.y, norm) == unit_by_norm_scan(D), D
 
 
 def test_quadratic_integer_arithmetic():
