@@ -6,9 +6,9 @@ the general Dirichlet composition formula (any signs, any common divisor of
 the leading coefficients), and collapsed to the wide (ordinary) class group
 through the form-negation pairing.  One cached object per discriminant holds
 the narrow classes, the wide classes and the identity.  All arithmetic is
-exact; numpy enters only as an int64 vectorization of the divisor scan inside
-the reduced-form enumeration, with a pure-Python fallback for big
-discriminants.
+exact and pure Python: the reduced forms come from one divisor scan per
+middle coefficient b that tries divisors of (disc - b^2)/4 only up to its
+square root.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-
-import numpy as np
 
 from . import quadratic
 from .errors import DiscriminantBoundError, InvariantError
@@ -196,63 +194,26 @@ def _check_disc(disc: int) -> int:
 
 
 def _enumerate_reduced(disc: int) -> list[_Form]:
-    """All reduced primitive forms of the given discriminant, each exactly once."""
+    """All reduced primitive forms of the given discriminant, each exactly once.
+
+    A reduced form (a, b, c) has 0 < b <= s = isqrt(disc), and both |a| and
+    |c| lie in the window (s - b)/2 < |a|, |c| <= (s + b)/2, with
+    |a*c| = m = (disc - b^2)/4.  So for each b the lesser of |a| and |c| is a
+    divisor d of m in [(s - b)//2 + 1, isqrt(m)]: isqrt(m) <= s//2 never
+    exceeds the top of the window, and the cofactor d <= m // d <
+    m / ((sqrt(disc) - b)/2) = (sqrt(disc) + b)/2 lies inside it.  Each such
+    d gives the forms with |a| = d and, unless d = m // d, those with |c| = d.
+    """
     s = _check_disc(disc)
-    if disc <= 2**31:
-        return _enumerate_reduced_vectorized(disc, s)
     out = []
     for b in range(2 - (disc & 1), s + 1, 2):
         m = (disc - b * b) // 4
-        lo = max((s - b) // 2 + 1, 1)
-        hi = min((s + b) // 2, m)
-        for d in range(lo, hi + 1):
-            if m % d == 0:
-                cabs = m // d
-                if gcd(gcd(d, b), cabs) == 1:
-                    out.append((d, b, -cabs))
-                    out.append((-d, b, cabs))
-    return out
-
-
-_CHUNK_ELEMENTS = 4_000_000  # caps peak memory of the divisor scan
-
-
-def _enumerate_reduced_vectorized(disc: int, s: int) -> list[_Form]:
-    b0 = 2 - (disc & 1)
-    if b0 > s:
-        return []
-    all_bs = np.arange(b0, s + 1, 2, dtype=np.int64)
-    all_ms = (disc - all_bs * all_bs) // 4
-    all_los = np.maximum((s - all_bs) // 2 + 1, 1)
-    all_his = np.minimum((s + all_bs) // 2, all_ms)
-    all_counts = np.maximum(all_his - all_los + 1, 0)
-    boundaries = np.searchsorted(np.cumsum(all_counts), np.arange(
-        _CHUNK_ELEMENTS, int(all_counts.sum()) + _CHUNK_ELEMENTS, _CHUNK_ELEMENTS
-    ))
-    out = []
-    start = 0
-    for stop in list(boundaries + 1):
-        stop = min(int(stop), len(all_bs))
-        if stop <= start:
-            continue
-        bs, ms = all_bs[start:stop], all_ms[start:stop]
-        los, counts = all_los[start:stop], all_counts[start:stop]
-        start = stop
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        rows = np.repeat(np.arange(len(bs)), counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        ds = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + los[rows]
-        mask = ms[rows] % ds == 0
-        ds, rows = ds[mask], rows[mask]
-        cs = ms[rows] // ds
-        primitive = np.gcd(np.gcd(ds, bs[rows]), cs) == 1
-        for d, b, cabs in zip(
-            ds[primitive].tolist(), bs[rows[primitive]].tolist(), cs[primitive].tolist()
-        ):
-            out.append((d, b, -cabs))
-            out.append((-d, b, cabs))
+        for d in [d for d in range((s - b) // 2 + 1, isqrt(m) + 1) if not m % d]:
+            c = m // d
+            if gcd(gcd(d, b), c) == 1:
+                out += ((d, b, -c), (-d, b, c))
+                if c != d:
+                    out += ((c, b, -d), (-c, b, d))
     return out
 
 
@@ -331,7 +292,7 @@ class _ClassData:
         return self.wide_of[self.narrow(_compose_raw(x, y, self.disc))]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _class_data(disc: int) -> _ClassData:
     """Class data of the discriminant, from its reduced-form cycles.
 
@@ -400,7 +361,7 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticFo
     return BinaryQuadraticForm(*_class_data(disc).narrow(raw))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def class_number_maximal(D: int) -> int:
     """Wide class number of the field Q(sqrt(D)).
 
@@ -418,7 +379,7 @@ def class_number_maximal(D: int) -> int:
     return h_narrow // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _unit_index(D: int, f: int) -> int:
     epsilon, _ = fundamental_unit(D)
     power = epsilon
@@ -438,7 +399,7 @@ def unit_index(order: QuadraticOrder) -> int:
     return _unit_index(order.D, order.f)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _class_number_order(D: int, f: int) -> int:
     h = class_number_maximal(D)
     e_f = _unit_index(D, f)
@@ -489,15 +450,17 @@ def _invariant_factors(data: _ClassData) -> AbelianGroupStructure:
     primary: dict[int, list[int]] = {}
     for p in quadratic._factorize(n):
         # count solutions of x**(p**k) = identity; the p-adic valuations of the
-        # counts give the conjugate of the exponent partition
+        # counts give the conjugate of the exponent partition.  x**(p**k) comes
+        # from x**(p**(k-1)) by one lookup in the table of p-th powers.
+        power = {x: _element_power(data, x, p) for x in elements}
+        current = elements
         valuations = [0]
         while True:
             k = len(valuations)
-            count = sum(
-                1 for x in elements if _element_power(data, x, p**k) == data.identity
-            )
+            current = [power[x] for x in current]
+            count = current.count(data.identity)
             v = 0
-            while count % p == 0:
+            while count and count % p == 0:
                 count //= p
                 v += 1
             if count != 1:

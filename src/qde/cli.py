@@ -13,6 +13,7 @@ import os
 import sys
 
 from .classgroup import (
+    _check_bound,
     class_group_structure,
     class_number_maximal,
     class_number_order,
@@ -124,6 +125,7 @@ def _cmd_classgroup(args) -> int:
 
 def _cmd_companions(args) -> int:
     order = _resolve_order(args)
+    _check_bound(order, _max_disc(args))
     tori = companion_tori(order)
     exprs = [str(t) for t in tori]
     _emit(

@@ -421,7 +421,7 @@ def gl2z_equivalent(t1: QuadraticIrrational, t2: QuadraticIrrational) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def fundamental_unit(D: int) -> tuple[QuadraticInteger, int]:
     """Smallest unit epsilon > 1 of the ring of integers of Q(sqrt(D)).
 

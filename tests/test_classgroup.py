@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from math import isqrt
 
 import pytest
 
@@ -14,6 +15,7 @@ from qde.classgroup import (
     AbelianGroupStructure,
     BinaryQuadraticForm,
     _class_data,
+    _enumerate_reduced,
     _principal_form,
     class_group_structure,
     class_number_maximal,
@@ -70,6 +72,27 @@ def test_reduce_cycle_disc40_two_classes():
 def test_reduce_cycle_rejects_imprimitive():
     with pytest.raises(ValueError):
         reduce_cycle(BinaryQuadraticForm(2, 2, -2))
+
+
+def _assert_enumeration_matches_reference(disc):
+    forms = _enumerate_reduced(disc)
+    assert len(forms) == len(set(forms)), disc  # each form exactly once
+    assert set(forms) == reduced_forms_reference(disc), disc
+
+
+def test_enumeration_matches_reference_below_1500():
+    discs = [d for d in range(5, 1500) if d % 4 in (0, 1) and isqrt(d) ** 2 != d]
+    for disc in discs:
+        _assert_enumeration_matches_reference(disc)
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (3, 2), (5, 7), (40, 41), (61, 59), (101, 103)])
+def test_enumeration_of_forms_with_equal_outer_coefficients(a, b):
+    # (a, b, -a) has disc b^2 + 4a^2 and |a| = |c|: the divisor a of m = a^2
+    # is its own cofactor and must give its two forms once, not twice
+    disc = b * b + 4 * a * a
+    assert {(a, b, -a), (-a, b, a)} <= reduced_forms_reference(disc)
+    _assert_enumeration_matches_reference(disc)
 
 
 @pytest.mark.parametrize("disc", SWEEP_DISCS[:40])
@@ -306,6 +329,25 @@ def test_class_group_structure_certified_by_solution_counts():
         assert solution_counts_certify(
             wide_classes, power, data.identity, structure.invariant_factors
         )
+
+
+def test_invariant_factors_of_a_noncyclic_two_part():
+    # disc 1596 and 1785: Z/2 x Z/4, a p-part of rank 2 and exponent p^2, so
+    # the p-th power table is iterated past its first step
+    for D in (399, 1785):
+        order = QuadraticOrder(D, 1)
+        structure = class_group_structure(order)
+        assert structure.invariant_factors == (2, 4)
+        data = _class_data(order.discriminant)
+
+        def power(x, e):
+            result = data.identity
+            for _ in range(e):
+                result = data.mul(result, x)
+            return result
+
+        assert solution_counts_certify(data.classes, power, data.identity, (2, 4))
+        assert not solution_counts_certify(data.classes, power, data.identity, (8,))
 
 
 def test_class_group_structure_is_deterministic():

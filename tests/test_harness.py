@@ -252,3 +252,23 @@ def test_cli_companions_round_trip_through_parser(capsys):
     for expr in payload["companions"]:
         theta = parse_theta(expr)
         assert str(theta) == expr
+
+
+def test_cli_companions_checks_the_bound_first(capsys, monkeypatch):
+    # the flag, the default bound and QDE_MAX_DISC each refuse before any
+    # class data is built (D = 1000003 has disc 4,000,012, D = 79 has 316)
+    from qde.classgroup import _class_data
+
+    monkeypatch.delenv("QDE_MAX_DISC", raising=False)
+    before = _class_data.cache_info()
+    assert main(["companions", "--D", "1000003", "--max-disc", "1000", "--json"]) == 1
+    assert "desk-scale bound 1000" in capsys.readouterr().err
+    assert main(["companions", "--D", "1000003"]) == 1
+    assert "desk-scale bound 1000000" in capsys.readouterr().err
+    monkeypatch.setenv("QDE_MAX_DISC", "300")
+    assert main(["companions", "--D", "79"]) == 1
+    assert "desk-scale bound 300" in capsys.readouterr().err
+    assert _class_data.cache_info() == before
+    monkeypatch.delenv("QDE_MAX_DISC")
+    assert main(["companions", "--D", "79"]) == 0
+    assert capsys.readouterr().out.count("companion") == 3
