@@ -1,14 +1,17 @@
 """Class numbers and class groups of real quadratic orders.
 
 The computational backbone is reduction theory for indefinite binary quadratic
-forms: narrow classes are enumerated as cycles of reduced forms, composed by
-the general Dirichlet composition formula (any signs, any common divisor of
-the leading coefficients), and collapsed to the wide (ordinary) class group
-through the form-negation pairing.  One cached object per discriminant holds
-the narrow classes, the wide classes and the identity.  All arithmetic is
-exact and pure Python: the reduced forms come from one divisor scan per
-middle coefficient b that tries divisors of (disc - b^2)/4 only up to its
-square root.
+forms, run on the continued-fraction recurrence of quadratic._pq_steps: the
+form (a, b, c) has the state (P, Q) = (b, 2|c|).  A form and its sign twin
+(-a, b, -c) share a state, so each cycle of reduced states is one wide
+(ordinary) class; no narrow-to-wide collapse is needed.  Narrow classes, which
+only reduce_cycle and compose return, are the signed form cycles over the
+states.  Classes are composed by the general Dirichlet composition formula
+(any signs, any common divisor of the leading coefficients).  One cached
+object per discriminant holds the wide classes and the identity.  All
+arithmetic is exact and pure Python: the reduced forms come from one divisor
+scan per middle coefficient b that tries divisors of (disc - b^2)/4 only up to
+its square root.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from math import gcd, isqrt
 from . import quadratic
 from .errors import DiscriminantBoundError, InvariantError
 from .lattice import QuadraticOrder, _field_discriminant
-from .quadratic import fundamental_unit, kronecker
+from .quadratic import _is_reduced_state, _pq_steps, fundamental_unit, kronecker
 
 __all__ = [
     "BinaryQuadraticForm",
@@ -71,7 +74,7 @@ class BinaryQuadraticForm:
 
     @property
     def is_reduced(self) -> bool:
-        return _is_reduced(self.a, self.b, self.c, isqrt(self.discriminant))
+        return _is_reduced_state(self.b, 2 * abs(self.a), isqrt(self.discriminant))
 
     def inverse(self) -> "BinaryQuadraticForm":
         return BinaryQuadraticForm(self.a, -self.b, self.c)
@@ -140,46 +143,54 @@ def _chain_from_primary(primary: dict[int, list[int]]) -> AbelianGroupStructure:
 # ---------------------------------------------------------------------------
 # reduction theory on raw (a, b, c) tuples
 # ---------------------------------------------------------------------------
+#
+# The form (a, b, c) starts the recurrence quadratic._pq_steps at the state
+# (P, Q) = (b, 2|c|) of (b + sqrt(disc))/(2|c|).  A step to (P', Q') is the
+# reduction step to the form (c, P', -k*Q'/2), where k = sign(c) at the start
+# and is negated at every step, because Q' = -4*c*c'/Q.  A form is reduced
+# exactly when its state is, since |a| and |c| lie in the same window.
 
 
-def _is_reduced(a: int, b: int, c: int, s: int) -> bool:
-    # reduced: 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b
-    if b <= 0 or b > s:
-        return False
-    twoa = 2 * abs(a)
-    return s - b + 1 <= twoa <= s + b
-
-
-def _rho(form: _Form, disc: int, s: int) -> _Form:
-    """Reduction step: (a, b, c) -> (c, r, (r*r - disc) // (4c))."""
-    _, b, c = form
-    ac = abs(c)
-    two_c = 2 * ac
-    if ac > s:
-        lo = 1 - ac
-    else:
-        lo = s + 1 - two_c
-    r = lo + (-b - lo) % two_c
-    return (c, r, (r * r - disc) // (4 * c))
+def _state_form(P: int, Q: int, k: int, disc: int) -> _Form:
+    """The form (a, P, k*Q/2) with a = -k*(disc - P^2)/(2Q), of state (P, Q)."""
+    return (-k * (disc - P * P) // (2 * Q), P, k * Q // 2)
 
 
 def _reduce(form: _Form, disc: int, s: int) -> _Form:
-    fuel = 4 * max(abs(form[0]), abs(form[2])).bit_length() + 64
-    while not _is_reduced(*form, s):
-        form = _rho(form, disc, s)
+    """A reduced form properly equivalent to the input, by continued-fraction steps."""
+    _, b, c = form
+    k = 1 if c > 0 else -1
+    if _is_reduced_state(b, 2 * k * c, s):
+        return form
+    fuel = 4 * max(abs(form[0]), abs(c)).bit_length() + 64
+    for _, P, Q in _pq_steps(b, 2 * k * c, disc):
+        k = -k
+        if _is_reduced_state(P, Q, s):
+            return _state_form(P, Q, k, disc)
         fuel -= 1
         if fuel < 0:
             raise InvariantError(f"reduction of {form} at discriminant {disc} did not terminate")
-    return form
 
 
-def _cycle_from(form: _Form, disc: int, s: int) -> tuple[_Form, ...]:
-    out = [form]
-    cur = _rho(form, disc, s)
-    while cur != form:
-        out.append(cur)
-        cur = _rho(cur, disc, s)
-    return tuple(out)
+def _cycle(form: _Form, disc: int) -> list[_Form]:
+    """The reduced forms properly equivalent to form, from the least one on.
+
+    They come in reduction order.  The cycle is as long as its state cycle,
+    or twice as long when that is odd and returns with k negated, at the sign
+    twin.
+    """
+    start = _reduce(form, disc, _check_disc(disc))
+    _, b, c = start
+    k = 1 if c > 0 else -1
+    out = [start]
+    for _, P, Q in _pq_steps(b, 2 * k * c, disc):
+        k = -k
+        nxt = _state_form(P, Q, k, disc)
+        if nxt == start:
+            break
+        out.append(nxt)
+    i = out.index(min(out))
+    return out[i:] + out[:i]
 
 
 def _check_disc(disc: int) -> int:
@@ -267,60 +278,64 @@ def _principal_form(disc: int) -> _Form:
 
 @dataclass(frozen=True)
 class _ClassData:
-    """Narrow and wide classes of one discriminant.
+    """The wide classes of one discriminant, as cycles of reduced states.
 
-    A narrow class is named by the lexicographically least reduced form of its
-    cycle, a wide class by the lesser of its (one or two) narrow classes.
+    Each cycle of states (P, Q) = (b, 2|c|) of reduced forms under the
+    continued-fraction recurrence is one wide class, named by its least form:
+    the minimum over its states of (-(disc - P^2)/(2Q), P, Q/2).
     """
 
     disc: int
-    narrow_of: dict[_Form, _Form]  # reduced form -> its narrow class
-    wide_of: dict[_Form, _Form]    # narrow class -> its wide class
-    identity: _Form                # wide class of the principal form
-
-    @property
-    def classes(self) -> list[_Form]:
-        """The wide classes, sorted."""
-        return sorted(set(self.wide_of.values()))
-
-    def narrow(self, form: _Form) -> _Form:
-        """Narrow class of any form of the discriminant."""
-        return self.narrow_of[_reduce(form, self.disc, isqrt(self.disc))]
+    wide_of: dict[tuple[int, int], _Form]  # reduced state -> its wide class
+    classes: tuple[_Form, ...]             # the wide classes, sorted
+    identity: _Form                        # wide class of the principal form
+    odd: bool                              # odd cycles: narrow and wide classes coincide
 
     def mul(self, x: _Form, y: _Form) -> _Form:
         """Wide class of the composite of x and y."""
-        return self.wide_of[self.narrow(_compose_raw(x, y, self.disc))]
+        _, b, c = _reduce(_compose_raw(x, y, self.disc), self.disc, isqrt(self.disc))
+        return self.wide_of[(b, 2 * abs(c))]
+
+    def positive_forms(self) -> list[_Form]:
+        """The least reduced form (a, b, c) with a > 0 of each wide class, sorted."""
+        least: dict[_Form, _Form] = {}
+        for (P, Q), name in self.wide_of.items():
+            form = _state_form(P, Q, -1, self.disc)
+            least[name] = min(form, least.get(name, form))
+        return sorted(least.values())
 
 
 @lru_cache(maxsize=4096)
 def _class_data(disc: int) -> _ClassData:
-    """Class data of the discriminant, from its reduced-form cycles.
+    """Class data of the discriminant, from the state cycles of its reduced forms.
 
-    Wide classes are orbits of narrow classes under C -> C * n, where n is the
-    narrow class of the negated principal form, the kernel of the
-    narrow-to-wide quotient; it is trivial exactly when the fundamental unit
-    of the order has norm -1.
+    A form and its sign twin (-a, b, -c) share a state, and the state cycle
+    through them is the union of their narrow classes: one wide class.  The
+    form cycle is twice the state cycle exactly when the state cycle is odd,
+    and then the twins are narrowly equivalent.  All cycles of one
+    discriminant have the same parity; odd cycles mean narrow = wide, i.e. a
+    unit of norm -1 in the order.
     """
-    s = _check_disc(disc)
-    narrow_of: dict[_Form, _Form] = {}
-    for form in _enumerate_reduced(disc):
-        if form not in narrow_of:
-            cycle = _cycle_from(form, disc, s)
-            rep = min(cycle)
-            for member in cycle:
-                narrow_of[member] = rep
-
-    def narrow(form: _Form) -> _Form:
-        return narrow_of[_reduce(form, disc, s)]
-
-    pa, pb, pc = _principal_form(disc)
-    negated = narrow((-pa, -pb, -pc))
-    wide_of: dict[_Form, _Form] = {}
-    for rep in set(narrow_of.values()):
-        if rep not in wide_of:
-            partner = narrow(_compose_raw(rep, negated, disc))
-            wide_of[rep] = wide_of[partner] = min(rep, partner)
-    return _ClassData(disc, narrow_of, wide_of, wide_of[narrow((pa, pb, pc))])
+    wide_of: dict[tuple[int, int], _Form] = {}
+    parities = set()
+    for _, b, c in _enumerate_reduced(disc):
+        start = (b, 2 * abs(c))
+        if start in wide_of:
+            continue
+        cycle = [start]
+        for _, P, Q in _pq_steps(b, 2 * abs(c), disc):
+            if (P, Q) == start:
+                break
+            cycle.append((P, Q))
+        name = min(_state_form(P, Q, 1, disc) for P, Q in cycle)
+        for state in cycle:
+            wide_of[state] = name
+        parities.add(len(cycle) % 2)
+    if len(parities) != 1:
+        raise InvariantError(f"state cycles of discriminant {disc} have mixed parity")
+    _, b, c = _principal_form(disc)
+    classes = tuple(sorted(set(wide_of.values())))
+    return _ClassData(disc, wide_of, classes, wide_of[(b, -2 * c)], parities == {1})
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +351,14 @@ def reduce_cycle(form: BinaryQuadraticForm) -> list[BinaryQuadraticForm]:
     """
     if not form.is_primitive:
         raise ValueError(f"form {form} is imprimitive (content {form.content})")
-    disc = form.discriminant
-    s = _check_disc(disc)
-    start = _reduce(form.as_tuple(), disc, s)
-    cycle = _cycle_from(start, disc, s)
-    k = cycle.index(min(cycle))
-    rotated = cycle[k:] + cycle[:k]
-    return [BinaryQuadraticForm(*f) for f in rotated]
+    return [BinaryQuadraticForm(*f) for f in _cycle(form.as_tuple(), form.discriminant)]
 
 
 def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """Gauss composition of primitive forms of one discriminant.
 
-    The result is the canonical reduced representative of the product class.
+    The result is the canonical reduced representative of the product class:
+    the least form of its cycle.
     """
     if f.discriminant != g.discriminant:
         raise ValueError(
@@ -358,29 +368,35 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticFo
         raise ValueError("composition needs primitive forms")
     disc = f.discriminant
     raw = _compose_raw(f.as_tuple(), g.as_tuple(), disc)
-    return BinaryQuadraticForm(*_class_data(disc).narrow(raw))
+    return BinaryQuadraticForm(*_cycle(raw, disc)[0])
 
 
 @lru_cache(maxsize=4096)
 def class_number_maximal(D: int) -> int:
     """Wide class number of the field Q(sqrt(D)).
 
-    Counts reduced-form cycles of the field discriminant (the narrow class
-    number) and halves it when the fundamental unit has norm +1.
+    Counts the state cycles of the field discriminant.  The norm of the
+    fundamental unit is a cross-check: it is -1 exactly when the cycles are
+    odd (narrow = wide).
     """
-    h_narrow = len(_class_data(_field_discriminant(D)).wide_of)
+    data = _class_data(_field_discriminant(D))
     _, norm = fundamental_unit(D)
-    if norm == -1:
-        return h_narrow
-    if h_narrow % 2:
+    if data.odd != (norm == -1):
         raise InvariantError(
-            f"narrow class number {h_narrow} is odd although N(epsilon) = +1 for D={D}"
+            f"state cycles are {'odd' if data.odd else 'even'} although "
+            f"N(epsilon) = {norm:+d} for D={D}"
         )
-    return h_narrow // 2
+    return len(data.classes)
 
 
 @lru_cache(maxsize=4096)
-def _unit_index(D: int, f: int) -> int:
+def unit_index(order: QuadraticOrder) -> int:
+    """Least n >= 1 with epsilon**n in Z + f*O_k (epsilon the fundamental unit).
+
+    The index divides the order of the unit group of O_k/(f), so it is at most
+    f**2; the search fails loudly past that bound.
+    """
+    D, f = order.D, order.f
     epsilon, _ = fundamental_unit(D)
     power = epsilon
     for n in range(1, f * f + 1):
@@ -390,19 +406,17 @@ def _unit_index(D: int, f: int) -> int:
     raise InvariantError(f"unit index for D={D}, f={f} exceeded the bound {f * f}")
 
 
-def unit_index(order: QuadraticOrder) -> int:
-    """Least n >= 1 with epsilon**n in Z + f*O_k (epsilon the fundamental unit).
-
-    The index divides the order of the unit group of O_k/(f), so it is at most
-    f**2; the search fails loudly past that bound.
-    """
-    return _unit_index(order.D, order.f)
-
-
 @lru_cache(maxsize=4096)
-def _class_number_order(D: int, f: int) -> int:
+def class_number_order(order: QuadraticOrder) -> int:
+    """Class number of the order by the conductor formula, in exact rationals.
+
+    h_order = h * (f / e_f) * prod over p | f of (1 - (d_K|p)/p), where the
+    symbol is the Kronecker symbol of the field discriminant.  The result is
+    checked to be a positive integer and a multiple of h.
+    """
+    D, f = order.D, order.f
     h = class_number_maximal(D)
-    e_f = _unit_index(D, f)
+    e_f = unit_index(order)
     d_K = _field_discriminant(D)
     value = Fraction(h * f, e_f)
     for p in quadratic._factorize(f):
@@ -418,16 +432,6 @@ def _class_number_order(D: int, f: int) -> int:
             f"conductor formula value {h_order} is not a multiple of h = {h} for D={D}, f={f}"
         )
     return h_order
-
-
-def class_number_order(order: QuadraticOrder) -> int:
-    """Class number of the order by the conductor formula, in exact rationals.
-
-    h_order = h * (f / e_f) * prod over p | f of (1 - (d_K|p)/p), where the
-    symbol is the Kronecker symbol of the field discriminant.  The result is
-    checked to be a positive integer and a multiple of h.
-    """
-    return _class_number_order(order.D, order.f)
 
 
 def _element_power(data: _ClassData, x: _Form, e: int) -> _Form:
@@ -497,8 +501,8 @@ def class_group_structure(
 ) -> AbelianGroupStructure:
     """Invariant factors of the class group, from brute-force composition.
 
-    Enumerates every reduced form of the discriminant, collapses narrow
-    classes to wide ones, and reads the group structure off composition.
+    Enumerates every reduced form of the discriminant, groups their states
+    into wide classes, and reads the group structure off composition.
     Bounded by a desk-scale discriminant ceiling (DEFAULT_MAX_DISC unless
     overridden).
     """

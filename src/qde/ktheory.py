@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from .classgroup import (
     AbelianGroupStructure,
     BinaryQuadraticForm,
-    _check_bound,
     _class_data,
-    class_number_order,
     galois_group_Kab,
 )
 from .errors import InvariantError
@@ -66,17 +64,12 @@ def crossed_product_k0(
 ) -> KTheoryDescriptor:
     """K0 descriptor of the crossed product for the given theta."""
     order = endomorphism_ring(theta)
-    _check_bound(order, max_disc)
-    h = class_number_order(order)
     galois = galois_group_Kab(order, max_disc=max_disc)
+    h = galois.order
     data = _class_data(order.discriminant)
     lambda_forms = tuple(
         BinaryQuadraticForm(*rep) for rep in data.classes if rep != data.identity
     )
-    if len(lambda_forms) != h - 1:
-        raise InvariantError(
-            f"expected {h - 1} nonprincipal classes, found {len(lambda_forms)}"
-        )
     labels = ("1", "theta") + tuple(f"lambda_{i}" for i in range(1, h))
     return KTheoryDescriptor(
         theta=theta,

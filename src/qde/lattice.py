@@ -175,13 +175,7 @@ def companion_tori(order: QuadraticOrder) -> list[QuadraticIrrational]:
     from . import classgroup  # deferred: classgroup imports QuadraticOrder from here
 
     disc = order.discriminant
-    data = classgroup._class_data(disc)
-    least = {}  # wide class -> its least reduced form with a > 0
-    for form, narrow in data.narrow_of.items():
-        if form[0] > 0:
-            wide = data.wide_of[narrow]
-            least[wide] = min(form, least.get(wide, form))
     return [
         QuadraticIrrational.canonical(-b, 1, 2 * a, disc)
-        for a, b, _ in sorted(least.values())
+        for a, b, _ in classgroup._class_data(disc).positive_forms()
     ]

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classgroup import (
-    AbelianGroupStructure,
-    _check_bound,
-    class_group_structure,
-    class_number_order,
-)
+from .classgroup import AbelianGroupStructure, class_group_structure
 from .errors import InvariantError
 from .lattice import QuadraticOrder, endomorphism_ring
 from .quadratic import QuadraticIrrational
@@ -61,9 +56,8 @@ def sha_doubling(cl: AbelianGroupStructure) -> AbelianGroupStructure:
 def predict(theta: QuadraticIrrational, max_disc: int | None = None) -> Prediction:
     """Assemble the rank / Sha / K0 prediction for theta's endomorphism order."""
     order = endomorphism_ring(theta)
-    _check_bound(order, max_disc)
-    h = class_number_order(order)
     cl = class_group_structure(order, max_disc=max_disc)
+    h = cl.order
     sha = sha_doubling(cl)
     return Prediction(
         order=order,

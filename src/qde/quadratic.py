@@ -328,6 +328,11 @@ def _pq_steps(P: int, Q: int, N: int):
         yield a, P, Q
 
 
+def _is_reduced_state(P: int, Q: int, s: int) -> bool:
+    """Whether (P + sqrt(N))/Q, s = isqrt(N), is reduced: > 1, conjugate in (-1, 0)."""
+    return 0 < Q and Q - s <= P <= s and s - P < Q
+
+
 def cf_expand(theta: QuadraticIrrational) -> ContinuedFraction:
     """Expand theta into its periodic continued fraction.
 
@@ -349,8 +354,7 @@ def cf_expand(theta: QuadraticIrrational) -> ContinuedFraction:
     s = isqrt(N)
     steps = _pq_steps(P, Q, N)
     quotients: list[int] = []
-    # reduced, with s = isqrt(N): Q > 0, Q - s <= P <= s and s - P < Q
-    while not (0 < Q and Q - s <= P <= s and s - P < Q):
+    while not _is_reduced_state(P, Q, s):
         a, P, Q = next(steps)
         quotients.append(a)
     start, first = len(quotients), (P, Q)
@@ -499,6 +503,9 @@ def kronecker(a: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(sqrt)|([+\-*/()])|(\S))")
+# Python's default int-to-str limit.  A longer integer literal is refused
+# before int() sees it, so neither its conversion nor its factoring is paid.
+_MAX_DIGITS = 4300
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -509,6 +516,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if m is None:
             break
         if m.group(1) is not None:
+            if len(m.group(1)) > _MAX_DIGITS:
+                raise ParseError(
+                    f"integer literal of {len(m.group(1))} digits exceeds {_MAX_DIGITS}",
+                    m.start(1),
+                )
             tokens.append(("int", int(m.group(1)), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("sqrt", "sqrt", m.start(2)))

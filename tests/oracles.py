@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths of the package under test:
 continued fractions run on a Mobius-transform state instead of the (P, Q)
 recurrence, units come from a raw Pell-style coordinate scan or from a norm
-test at every convergent instead of the end of the period, class data from
-a direct double loop over form coefficients, and group structures are checked
-through solution counts.
+test at every convergent instead of the end of the period, reduced forms from
+a direct double loop over form coefficients, narrow and wide classes from the
+rho reduction step on signed forms and composition with the negated principal
+form, and group structures are checked through solution counts.
 """
 
 from __future__ import annotations
@@ -189,6 +190,94 @@ def reduced_forms_reference(disc: int) -> set[tuple[int, int, int]]:
                 continue
             out.add((a, b, c))
     return out
+
+
+def _rho(form, disc: int, s: int):
+    """Reduction step (a, b, c) -> (c, r, (r*r - disc)/(4c)), r = -b mod 2c.
+
+    r lies in (-|c|, |c|] when |c| > isqrt(disc), else in (s - 2|c|, s].
+    """
+    _, b, c = form
+    two_c = 2 * abs(c)
+    lo = 1 - abs(c) if abs(c) > s else s + 1 - two_c
+    r = lo + (-b - lo) % two_c
+    return (c, r, (r * r - disc) // (4 * c))
+
+
+def rho_reduce(form, disc: int):
+    """A reduced form properly equivalent to form, by rho steps."""
+    s = isqrt(disc)
+    while not (0 < form[1] <= s and s - form[1] < 2 * abs(form[0]) <= s + form[1]):
+        form = _rho(form, disc, s)
+    return form
+
+
+def rho_cycle(form) -> list[tuple[int, int, int]]:
+    """The reduced cycle of a form by rho steps, rotated to its least member."""
+    a, b, c = form
+    disc = b * b - 4 * a * c
+    s = isqrt(disc)
+    out = [rho_reduce(form, disc)]
+    cur = _rho(out[0], disc, s)
+    while cur != out[0]:
+        out.append(cur)
+        cur = _rho(cur, disc, s)
+    k = out.index(min(out))
+    return out[k:] + out[:k]
+
+
+def _dirichlet_compose(f1, f2, disc: int):
+    """Dirichlet composition with d = gcd(a1, a2, (b1 + b2)/2) = u*a1 + v*a2 + w*s."""
+    a1, b1, _ = f1
+    a2, b2, c2 = f2
+    half = (b1 + b2) // 2
+    g, _, y = _ext_gcd(a1, a2)
+    d, z, w = _ext_gcd(g, half)
+    a = a1 * a2 // (d * d)
+    b = (b2 + 2 * (a2 // d) * (z * y * (b1 - b2) // 2 - w * c2)) % (2 * abs(a))
+    return (a, b, (b * b - disc) // (4 * a))
+
+
+def _ext_gcd(a: int, b: int):
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def wide_classes_by_negation(disc: int):
+    """Narrow and wide classes of a discriminant, the long way round.
+
+    Narrow classes are rho cycles of the reference reduced forms, each named
+    by its least form.  Wide classes are orbits of narrow classes under
+    composition with the class of the negated principal form, each named by
+    the lesser narrow class.  Returns (narrow_of, wide_of, identity): reduced
+    form -> narrow class, narrow class -> wide class, and the wide class of
+    the principal form.
+    """
+    narrow_of = {}
+    for form in reduced_forms_reference(disc):
+        if form not in narrow_of:
+            cycle = rho_cycle(form)
+            for member in cycle:
+                narrow_of[member] = cycle[0]
+
+    def narrow(form):
+        return narrow_of[rho_reduce(form, disc)]
+
+    s = isqrt(disc)
+    b = s if (s - disc) % 2 == 0 else s - 1
+    principal = (1, b, (b * b - disc) // 4)
+    negated = narrow(tuple(-x for x in principal))
+    wide_of = {}
+    for rep in set(narrow_of.values()):
+        if rep not in wide_of:
+            partner = narrow(_dirichlet_compose(rep, negated, disc))
+            wide_of[rep] = wide_of[partner] = min(rep, partner)
+    return narrow_of, wide_of, wide_of[narrow(principal)]
 
 
 def gl2_matrix_search(

@@ -8,8 +8,10 @@ from oracles import (
     cf_expand_reference,
     merge_chains_reference,
     reduced_forms_reference,
+    rho_cycle,
     solution_counts_certify,
     squarefree_up_to,
+    wide_classes_by_negation,
 )
 from qde.classgroup import (
     AbelianGroupStructure,
@@ -25,10 +27,11 @@ from qde.classgroup import (
     reduce_cycle,
     unit_index,
 )
-from qde.errors import DiscriminantBoundError
+from qde.errors import DiscriminantBoundError, InvariantError
 from qde.lattice import QuadraticOrder
 from qde.quadratic import QuadraticIrrational, cf_expand, fundamental_unit
 
+VALID_DISCS = [d for d in range(5, 3000) if d % 4 in (0, 1) and isqrt(d) ** 2 != d]
 SWEEP_DISCS = sorted(
     {QuadraticOrder(D, f).discriminant
      for D in squarefree_up_to(40) for f in (1, 2, 3)
@@ -97,16 +100,54 @@ def test_enumeration_of_forms_with_equal_outer_coefficients(a, b):
 
 @pytest.mark.parametrize("disc", SWEEP_DISCS[:40])
 def test_cycles_partition_all_reduced_forms(disc):
-    members = {}
-    for form, rep in _class_data(disc).narrow_of.items():
-        members.setdefault(rep, set()).add(form)
+    data = _class_data(disc)
     everything = set()
-    for rep, forms in members.items():
-        cycle = {f.as_tuple() for f in reduce_cycle(BinaryQuadraticForm(*rep))}
-        assert forms == cycle and rep == min(cycle)
-        assert not (cycle & everything)  # cycles are disjoint
-        everything |= cycle
+    for form in sorted(reduced_forms_reference(disc)):
+        if form in everything:
+            continue
+        cycle = [f.as_tuple() for f in reduce_cycle(BinaryQuadraticForm(*form))]
+        members = set(cycle)
+        assert form in members and cycle[0] == min(members)
+        for member in members:  # every member names the same cycle
+            assert [f.as_tuple() for f in reduce_cycle(BinaryQuadraticForm(*member))] == cycle
+        assert not (members & everything)  # cycles are disjoint
+        everything |= members
+        # a narrow class lies inside one wide class
+        assert len({_wide_class(data, f) for f in members}) == 1
     assert everything == reduced_forms_reference(disc)
+
+
+def _wide_class(data, form):
+    """Wide class of a reduced form: the name of the cycle of its state (b, 2|c|)."""
+    _, b, c = form
+    return data.wide_of[(b, 2 * abs(c))]
+
+
+def test_wide_classes_match_the_negation_oracle_below_3000():
+    # the state cycles give the same partition of reduced forms into wide
+    # classes, the same names and the same identity as rho cycles collapsed by
+    # the negated principal form; odd cycles exactly when narrow = wide
+    for disc in VALID_DISCS:
+        narrow_of, wide_of, identity = wide_classes_by_negation(disc)
+        data = _class_data(disc)
+        assert data.classes == tuple(sorted(set(wide_of.values()))), disc
+        assert data.identity == identity, disc
+        for form, narrow in narrow_of.items():
+            assert _wide_class(data, form) == wide_of[narrow], (disc, form)
+        assert set(data.wide_of) == {(b, 2 * abs(c)) for _, b, c in narrow_of}, disc
+        assert data.odd == (len(wide_of) == len(data.classes)), disc
+
+
+def test_reduce_cycle_matches_the_rho_oracle_element_for_element():
+    # same cycle, same order, same rotation: from every reduced form and from
+    # unreduced SL(2, Z) images of it, whose reduction passes states with Q < 0
+    rng = random.Random(20261018)
+    for disc in VALID_DISCS[:200]:
+        for form in sorted(reduced_forms_reference(disc)):
+            images = [form] + [_act(form, *_random_sl2(rng)) for _ in range(3)]
+            for image in images:
+                cycle = [f.as_tuple() for f in reduce_cycle(BinaryQuadraticForm(*image))]
+                assert cycle == rho_cycle(image), (disc, image)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +156,14 @@ def test_cycles_partition_all_reduced_forms(disc):
 
 
 def _classes(disc):
-    narrow = set(_class_data(disc).narrow_of.values())
-    return [BinaryQuadraticForm(*rep) for rep in sorted(narrow)]
+    """The narrow classes, one least reduced form per cycle, sorted."""
+    seen, reps = set(), []
+    for form in _enumerate_reduced(disc):
+        if form not in seen:
+            cycle = reduce_cycle(BinaryQuadraticForm(*form))
+            seen.update(f.as_tuple() for f in cycle)
+            reps.append(cycle[0].as_tuple())
+    return [BinaryQuadraticForm(*rep) for rep in sorted(reps)]
 
 
 def test_compose_identity_and_inverse_laws():
@@ -222,9 +269,9 @@ def test_class_groups_from_published_tables(D, h, factors):
 
 
 def test_wide_classes_match_gl2_orbits_for_every_small_discriminant():
-    # two independent mechanisms must agree everywhere: wide classes from
-    # composition with the negated-principal class, and orbits of the roots of
-    # all reduced forms under tail equivalence of continued fractions
+    # two independent mechanisms must agree everywhere: wide classes as state
+    # cycles, and orbits of the roots of the narrow classes' least forms under
+    # tail equivalence of continued fractions
     from oracles import order_parameters
 
     def canonical_rotation(period):
@@ -233,12 +280,11 @@ def test_wide_classes_match_gl2_orbits_for_every_small_discriminant():
 
     for D, f in order_parameters(2000):
         disc = QuadraticOrder(D, f).discriminant
-        data = _class_data(disc)
         orbits = set()
-        for a, b, c in set(data.narrow_of.values()):
+        for a, b, c in (g.as_tuple() for g in _classes(disc)):
             root = QuadraticIrrational.canonical(-b, 1, 2 * a, disc)
             orbits.add(canonical_rotation(cf_expand(root).period))
-        assert len(orbits) == len(set(data.wide_of.values())), (D, f)
+        assert len(orbits) == len(_class_data(disc).classes), (D, f)
 
 
 def test_class_number_maximal_against_gl2_orbit_count():
@@ -261,6 +307,24 @@ def test_class_number_maximal_against_gl2_orbit_count():
             ):
                 orbits.append(period)
         assert class_number_maximal(D) == len(orbits)
+
+
+def test_class_number_is_the_cycle_count_and_parity_matches_the_unit_norm():
+    # odd state cycles (narrow = wide) exactly when N(epsilon) = -1
+    for D in squarefree_up_to(5000):
+        data = _class_data(D if D % 4 == 1 else 4 * D)
+        assert class_number_maximal(D) == len(data.classes), D
+        assert data.odd == (fundamental_unit(D)[1] == -1), D
+
+
+@pytest.mark.parametrize("D", [2, 3, 10, 79, 82])
+def test_class_number_maximal_refuses_a_unit_norm_against_the_parity(D, monkeypatch):
+    import qde.classgroup
+
+    epsilon, norm = fundamental_unit(D)
+    monkeypatch.setattr(qde.classgroup, "fundamental_unit", lambda _: (epsilon, -norm))
+    with pytest.raises(InvariantError, match="N\\(epsilon\\)"):
+        class_number_maximal.__wrapped__(D)
 
 
 @pytest.mark.parametrize(
@@ -317,8 +381,9 @@ def test_class_group_structure_certified_by_solution_counts():
         structure = class_group_structure(order)
         disc = order.discriminant
         data = _class_data(disc)
-        wide_classes = sorted(set(data.wide_of.values()))
-        assert data.identity == data.wide_of[data.narrow(_principal_form(disc))]
+        wide_classes = data.classes
+        principal = _principal_form(disc)
+        assert data.identity == data.mul(principal, principal)
 
         def power(x, e):
             result = data.identity

@@ -1,6 +1,9 @@
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -189,6 +192,22 @@ def test_cli_domain_errors_exit_1(capsys):
     assert main(["cf", "--theta", "(3+sqrt(9))/2"]) == 1
     assert "perfect square" in capsys.readouterr().err
     assert main(["validate", "--input", "/nonexistent.csv"]) == 1
+
+
+def test_cli_refuses_an_over_long_theta_literal_at_once():
+    # a 4,402-digit radicand used to reach trial division with the digit
+    # limit lifted and run until killed; now it is a syntax error
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "qde.cli", "cf", "--theta", "sqrt(1" + "0" * 4400 + "7)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert "4402 digits" in result.stderr and "position 5" in result.stderr
 
 
 def test_cli_usage_errors_exit_2(capsys, monkeypatch):

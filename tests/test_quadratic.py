@@ -82,6 +82,16 @@ def test_parse_syntax_errors_report_position(text):
     assert "position" in str(info.value)
 
 
+def test_parse_refuses_an_integer_literal_above_4300_digits():
+    # refused at the literal's position before int() sees it; at 4,300 digits
+    # the literal still parses
+    for text, position in (("sqrt(1" + "0" * 4400 + "7)", 5), ("1" * 4301 + "+sqrt(2)", 0)):
+        with pytest.raises(ParseError, match="4402 digits|4301 digits") as info:
+            parse_theta(text)
+        assert info.value.position == position
+    assert parse_theta("(1" + "0" * 4299 + "+sqrt(2))/3").D == 2
+
+
 def test_parse_rational_inputs_rejected():
     with pytest.raises(RationalValueError):
         parse_theta("7")
