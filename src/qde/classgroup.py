@@ -17,13 +17,12 @@ its square root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 from . import quadratic
 from .errors import DiscriminantBoundError, InvariantError
-from .lattice import QuadraticOrder, _field_discriminant
+from .lattice import QuadraticOrder
 from .quadratic import _is_reduced_state, _pq_steps, fundamental_unit, kronecker
 
 __all__ = [
@@ -371,7 +370,6 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm) -> BinaryQuadraticFo
     return BinaryQuadraticForm(*_cycle(raw, disc)[0])
 
 
-@lru_cache(maxsize=4096)
 def class_number_maximal(D: int) -> int:
     """Wide class number of the field Q(sqrt(D)).
 
@@ -379,7 +377,7 @@ def class_number_maximal(D: int) -> int:
     fundamental unit is a cross-check: it is -1 exactly when the cycles are
     odd (narrow = wide).
     """
-    data = _class_data(_field_discriminant(D))
+    data = _class_data(quadratic._field_discriminant(D))
     _, norm = fundamental_unit(D)
     if data.odd != (norm == -1):
         raise InvariantError(
@@ -389,7 +387,6 @@ def class_number_maximal(D: int) -> int:
     return len(data.classes)
 
 
-@lru_cache(maxsize=4096)
 def unit_index(order: QuadraticOrder) -> int:
     """Least n >= 1 with epsilon**n in Z + f*O_k (epsilon the fundamental unit).
 
@@ -406,27 +403,27 @@ def unit_index(order: QuadraticOrder) -> int:
     raise InvariantError(f"unit index for D={D}, f={f} exceeded the bound {f * f}")
 
 
-@lru_cache(maxsize=4096)
 def class_number_order(order: QuadraticOrder) -> int:
-    """Class number of the order by the conductor formula, in exact rationals.
+    """Class number of the order by the conductor formula, in integers.
 
-    h_order = h * (f / e_f) * prod over p | f of (1 - (d_K|p)/p), where the
-    symbol is the Kronecker symbol of the field discriminant.  The result is
-    checked to be a positive integer and a multiple of h.
+    h_order = h * psi(f) / e_f with psi(f) = f * prod over p | f of
+    (p - (d_K|p))/p, where the symbol is the Kronecker symbol of the field
+    discriminant; psi(f) is an integer because each p divides f.  The result
+    is checked to be a positive integer and a multiple of h.
     """
     D, f = order.D, order.f
     h = class_number_maximal(D)
     e_f = unit_index(order)
-    d_K = _field_discriminant(D)
-    value = Fraction(h * f, e_f)
+    d_K = quadratic._field_discriminant(D)
+    psi = f
     for p in quadratic._factorize(f):
-        value *= 1 - Fraction(kronecker(d_K, p), p)
-    if value.denominator != 1 or value <= 0:
+        psi = psi // p * (p - kronecker(d_K, p))
+    h_order, rem = divmod(h * psi, e_f)
+    if rem or h_order <= 0:
         raise InvariantError(
-            f"conductor formula gave a non-integral or non-positive value {value} "
-            f"for D={D}, f={f}"
+            f"conductor formula gave a non-integral or non-positive value "
+            f"{h * psi}/{e_f} for D={D}, f={f}"
         )
-    h_order = int(value)
     if h_order % h:
         raise InvariantError(
             f"conductor formula value {h_order} is not a multiple of h = {h} for D={D}, f={f}"

@@ -16,7 +16,6 @@ from .classgroup import (
     _check_bound,
     class_group_structure,
     class_number_maximal,
-    class_number_order,
     unit_index,
 )
 from .errors import QdeError
@@ -109,7 +108,7 @@ def _cmd_classgroup(args) -> int:
         "D": order.D,
         "f": order.f,
         "discriminant": order.discriminant,
-        "h": class_number_order(order),
+        "h": structure.order,  # checked against the conductor formula
         "h_field": class_number_maximal(order.D),
         "unit_index": unit_index(order),
         "invariant_factors": list(structure.invariant_factors),
@@ -272,10 +271,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))  # exits with status 2
         return 2
-    except QdeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (QdeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

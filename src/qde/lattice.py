@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt, lcm
 
 from .errors import DependentGeneratorsError, FieldMismatchError, InvariantError
-from .quadratic import QuadraticIrrational, _is_squarefree
+from .quadratic import QuadraticIrrational, _field_discriminant, _is_squarefree
 
 __all__ = [
     "QuadraticOrder",
@@ -18,11 +19,6 @@ __all__ = [
 ]
 
 Generator = Fraction | QuadraticIrrational
-
-
-def _field_discriminant(D: int) -> int:
-    """Discriminant d_K of Q(sqrt(D)) for squarefree D > 1."""
-    return D if D % 4 == 1 else 4 * D
 
 
 @dataclass(frozen=True)
@@ -114,14 +110,9 @@ class PseudoLattice:
 
 def _coord_rank(coords: list[tuple[Fraction, Fraction]]) -> int:
     """Rank over Q of vectors in Q^2 (Z-independence equals Q-independence here)."""
-    if len(coords) > 2:
-        return 2 if _coord_rank(coords[:2]) == 2 else _coord_rank(coords[1:])
-    if len(coords) == 1:
-        return 0 if coords[0] == (0, 0) else 1
-    (u1, v1), (u2, v2) = coords
-    if u1 * v2 - u2 * v1 != 0:
+    if any(u1 * v2 != u2 * v1 for (u1, v1), (u2, v2) in combinations(coords, 2)):
         return 2
-    return _coord_rank([coords[0]]) or _coord_rank([coords[1]])
+    return 1 if any(c != (0, 0) for c in coords) else 0
 
 
 def normalize_pseudolattice(gens) -> PseudoLattice:

@@ -69,6 +69,11 @@ def _is_squarefree(n: int) -> bool:
     return n >= 1 and squarefree_decompose(n)[0] == 1
 
 
+def _field_discriminant(D: int) -> int:
+    """Discriminant d_K of Q(sqrt(D)) for squarefree D > 1."""
+    return D if D % 4 == 1 else 4 * D
+
+
 @dataclass(frozen=True)
 class QuadraticIrrational:
     """The real quadratic irrational (a + b*sqrt(D))/c in canonical form.
@@ -442,7 +447,7 @@ def fundamental_unit(D: int) -> tuple[QuadraticInteger, int]:
     Q0 = 1 + t
     # log(epsilon) < sqrt(d)*(log(d)/2 + 1) for the field discriminant d (Hua)
     # and q_k >= Fibonacci(k + 1), so the period is shorter than this limit
-    d = D if t else 4 * D
+    d = _field_discriminant(D)
     limit = (isqrt(d) + 1) * (d.bit_length() + 3)
     p, p1, q, q1 = 1, 0, 0, 1
     for a, _, Q in islice(_pq_steps(t, Q0, D), limit):

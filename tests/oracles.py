@@ -3,14 +3,16 @@
 Everything here deliberately avoids the code paths of the package under test:
 continued fractions run on a Mobius-transform state instead of the (P, Q)
 recurrence, units come from a raw Pell-style coordinate scan or from a norm
-test at every convergent instead of the end of the period, reduced forms from
-a direct double loop over form coefficients, narrow and wide classes from the
-rho reduction step on signed forms and composition with the negated principal
-form, and group structures are checked through solution counts.
+test at every convergent instead of the end of the period, the conductor
+formula runs in rationals, reduced forms come from a direct double loop over
+form coefficients, narrow and wide classes from the rho reduction step on
+signed forms and composition with the negated principal form, and group
+structures are checked through solution counts.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
@@ -167,6 +169,21 @@ def kronecker_two_by_cases(a: int) -> int:
     if a % 2 == 0:
         return 0
     return 1 if a % 8 in (1, 7) else -1
+
+
+def conductor_formula_reference(D: int, f: int, h: int, e_f: int) -> Fraction:
+    """h * (f / e_f) * prod over primes p | f of (1 - (d_K|p)/p), in rationals.
+
+    The primes come from trial division and the symbol from a case table at 2
+    and square enumeration at odd p.
+    """
+    d_K = D if D % 4 == 1 else 4 * D
+    value = Fraction(h * f, e_f)
+    for p in range(2, f + 1):
+        if f % p == 0 and all(p % q for q in range(2, p)):
+            symbol = kronecker_two_by_cases(d_K) if p == 2 else legendre_by_squares(d_K, p)
+            value *= 1 - Fraction(symbol, p)
+    return value
 
 
 def reduced_forms_reference(disc: int) -> set[tuple[int, int, int]]:

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     cf_expand_reference,
+    conductor_formula_reference,
     merge_chains_reference,
     reduced_forms_reference,
     rho_cycle,
@@ -324,7 +325,7 @@ def test_class_number_maximal_refuses_a_unit_norm_against_the_parity(D, monkeypa
     epsilon, norm = fundamental_unit(D)
     monkeypatch.setattr(qde.classgroup, "fundamental_unit", lambda _: (epsilon, -norm))
     with pytest.raises(InvariantError, match="N\\(epsilon\\)"):
-        class_number_maximal.__wrapped__(D)
+        class_number_maximal(D)
 
 
 @pytest.mark.parametrize(
@@ -352,6 +353,16 @@ def test_unit_index_by_direct_power_iteration():
 def test_class_number_order_of_maximal_order_is_field_class_number():
     for D in squarefree_up_to(60):
         assert class_number_order(QuadraticOrder(D, 1)) == class_number_maximal(D)
+
+
+def test_class_number_order_matches_the_rational_conductor_formula():
+    for D in squarefree_up_to(500):
+        h = class_number_maximal(D)
+        for f in range(1, 31):
+            order = QuadraticOrder(D, f)
+            expected = conductor_formula_reference(D, f, h, unit_index(order))
+            assert expected.denominator == 1, (D, f)
+            assert class_number_order(order) == expected, (D, f)
 
 
 def test_conductor_formula_matches_composition_group():

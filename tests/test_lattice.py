@@ -127,6 +127,12 @@ def test_pseudolattice_validation():
         PseudoLattice((parse_theta("sqrt(2)"), parse_theta("sqrt(3)")))
 
 
+def test_pseudolattice_rank_counts_every_pair_of_generators():
+    # the independent pair is the first and third generator
+    with pytest.raises(DependentGeneratorsError, match=r"rank 2 < 3"):
+        PseudoLattice((Fraction(1), Fraction(0), parse_theta("sqrt(2)")))
+
+
 # ---------------------------------------------------------------------------
 # companion tori
 # ---------------------------------------------------------------------------

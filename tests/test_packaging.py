@@ -41,6 +41,10 @@ def test_every_cache_has_a_size_limit():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 caches[f"{module.__name__}.{name}"] = obj.cache_info().maxsize
-    assert "qde.classgroup._class_data" in caches and len(caches) >= 6, caches
+    assert set(caches) == {
+        "qde.classgroup._class_data",
+        "qde.quadratic.fundamental_unit",
+        "qde.quadratic.squarefree_decompose",
+    }, caches
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert not unbounded
