@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from math import gcd, isqrt
 
 from .errors import (
@@ -35,18 +35,87 @@ __all__ = [
 ]
 
 
+# Trial division runs up to this bound; a cofactor below its square is prime.
+_TRIAL_BOUND = 1000
+# The first 13 primes: a strong probable prime to all of them is prime below
+# 3.3 * 10^24 (Sorenson-Webster 2015), and probably prime above.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of n >= 1, by trial division."""
+    """Prime factorization {p: e} of n >= 1, primes ascending.
+
+    Trial division by d < _TRIAL_BOUND, then Miller-Rabin and Pollard-Brent
+    rho on the cofactor left over.
+    """
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_BOUND and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    todo = [n] if n > 1 else []
+    while todo:
+        n = todo.pop()
+        if n < _TRIAL_BOUND**2 or _is_probable_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            p = _rho_factor(n)
+            todo += (p, n // p)
+    return dict(sorted(out.items()))
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Strong probable-prime test of odd n > 41 to every base in _MR_BASES."""
+    q, e = n - 1, 0
+    while not q & 1:
+        q >>= 1
+        e += 1
+    for a in _MR_BASES:
+        x = pow(a, q, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(e - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n, by Pollard-Brent rho.
+
+    Brent's cycle search on x -> x^2 + c (mod n) from x = 2, taking the gcd of
+    a product of 128 differences at a time and backtracking one step at a time
+    when that gcd is n (Brent 1980; Cohen, A Course in Computational Algebraic
+    Number Theory, section 8.5).  A c whose cycle closes mod n is replaced by
+    c + 1.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 @lru_cache(maxsize=1024)

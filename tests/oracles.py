@@ -7,7 +7,8 @@ test at every convergent instead of the end of the period, the conductor
 formula runs in rationals, reduced forms come from a direct double loop over
 form coefficients, narrow and wide classes from the rho reduction step on
 signed forms and composition with the negated principal form, and group
-structures are checked through solution counts.
+structures are checked through solution counts.  Factoring is plain trial
+division and the unit index multiplies out the full powers of the unit.
 """
 
 from __future__ import annotations
@@ -169,6 +170,33 @@ def kronecker_two_by_cases(a: int) -> int:
     if a % 2 == 0:
         return 0
     return 1 if a % 8 in (1, 7) else -1
+
+
+def factorize_reference(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, by trial division."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def unit_index_reference(D: int, f: int) -> int:
+    """Least n >= 1 whose full power epsilon**n has omega-coordinate 0 mod f."""
+    from qde.quadratic import fundamental_unit
+
+    epsilon, _ = fundamental_unit(D)
+    power = epsilon
+    n = 1
+    while power.y % f:
+        power = power * epsilon
+        n += 1
+    return n
 
 
 def conductor_formula_reference(D: int, f: int, h: int, e_f: int) -> Fraction:

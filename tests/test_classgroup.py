@@ -10,16 +10,23 @@ from oracles import (
     merge_chains_reference,
     reduced_forms_reference,
     rho_cycle,
+    factorize_reference,
     solution_counts_certify,
     squarefree_up_to,
+    unit_index_reference,
     wide_classes_by_negation,
 )
 from qde.classgroup import (
     AbelianGroupStructure,
     BinaryQuadraticForm,
+    _SIEVE_FROM,
     _class_data,
     _enumerate_reduced,
+    _primes_upto,
     _principal_form,
+    _scan_reduced,
+    _sieve_reduced,
+    _sqrt_mod,
     class_group_structure,
     class_number_maximal,
     class_number_order,
@@ -78,8 +85,8 @@ def test_reduce_cycle_rejects_imprimitive():
         reduce_cycle(BinaryQuadraticForm(2, 2, -2))
 
 
-def _assert_enumeration_matches_reference(disc):
-    forms = _enumerate_reduced(disc)
+def _assert_enumeration_matches_reference(disc, enumerate_reduced=_enumerate_reduced):
+    forms = enumerate_reduced(disc)
     assert len(forms) == len(set(forms)), disc  # each form exactly once
     assert set(forms) == reduced_forms_reference(disc), disc
 
@@ -90,13 +97,74 @@ def test_enumeration_matches_reference_below_1500():
         _assert_enumeration_matches_reference(disc)
 
 
-@pytest.mark.parametrize("a,b", [(1, 1), (3, 2), (5, 7), (40, 41), (61, 59), (101, 103)])
+def test_sieve_matches_reference_below_6000():
+    # called directly: _enumerate_reduced only sieves from _SIEVE_FROM on
+    discs = [d for d in range(5, 6000) if d % 4 in (0, 1) and isqrt(d) ** 2 != d]
+    for disc in discs:
+        _assert_enumeration_matches_reference(disc, _sieve_reduced)
+
+
+@pytest.mark.parametrize(
+    "a,b", [(1, 1), (3, 2), (5, 7), (40, 41), (61, 59), (101, 103), (250, 251)]
+)
 def test_enumeration_of_forms_with_equal_outer_coefficients(a, b):
     # (a, b, -a) has disc b^2 + 4a^2 and |a| = |c|: the divisor a of m = a^2
-    # is its own cofactor and must give its two forms once, not twice
+    # is its own cofactor and must give its two forms once, not twice, on
+    # either path (the last disc, 313001, is above _SIEVE_FROM)
     disc = b * b + 4 * a * a
     assert {(a, b, -a), (-a, b, a)} <= reduced_forms_reference(disc)
-    _assert_enumeration_matches_reference(disc)
+    for enumerate_reduced in (_scan_reduced, _sieve_reduced, _enumerate_reduced):
+        _assert_enumeration_matches_reference(disc, enumerate_reduced)
+
+
+def _assert_sieve_matches_scan(disc):
+    forms = _sieve_reduced(disc)
+    assert len(forms) == len(set(forms)), disc
+    assert forms == _scan_reduced(disc), disc  # the same forms in the same order
+
+
+def test_sieve_matches_scan_on_random_discriminants():
+    # log-uniform up to 10^8, so every scale on both sides of _SIEVE_FROM is hit
+    rng = random.Random(8)
+    discs = []
+    while len(discs) < 200:
+        disc = int(10 ** rng.uniform(1, 8))
+        if disc % 4 in (0, 1) and isqrt(disc) ** 2 != disc:
+            discs.append(disc)
+    assert min(discs) < _SIEVE_FROM < max(discs)
+    for disc in discs:
+        _assert_sieve_matches_scan(disc)
+
+
+def test_sieve_matches_scan_when_small_primes_divide_the_discriminant():
+    # p | disc gives the single root b = 0 (mod p); p^2 | disc makes p divide
+    # m(b) several times over
+    discs = {
+        QuadraticOrder(D, f).discriminant
+        for D in (3, 5, 15, 105, 1155, 15015)
+        for f in (1, 2, 3, 4, 5, 7, 9, 25, 27, 49, 121)
+    }
+    for disc in sorted(d for d in discs if d < 10**7):
+        _assert_sieve_matches_scan(disc)
+
+
+def test_sqrt_mod_matches_brute_force_for_odd_primes_below_3000():
+    for p in range(3, 3000, 2):
+        if factorize_reference(p) != {p: 1}:
+            continue
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            root = _sqrt_mod(a, p)
+            if a in squares:
+                assert root is not None and root * root % p == a, (a, p)
+            else:
+                assert root is None, (a, p)
+
+
+def test_primes_upto_matches_trial_division():
+    primes = [p for p in range(2, 2000) if factorize_reference(p) == {p: 1}]
+    for n in range(2000):
+        assert _primes_upto(n) == [p for p in primes if p <= n], n
 
 
 @pytest.mark.parametrize("disc", SWEEP_DISCS[:40])
@@ -339,15 +407,10 @@ def test_unit_index_and_order_class_number(D, f, e, h):
 
 
 def test_unit_index_by_direct_power_iteration():
-    # oracle: multiply out epsilon**n and watch the omega-coordinate mod f
-    for D, f in [(5, 2), (5, 3), (2, 2), (3, 2), (13, 2), (10, 3)]:
-        epsilon, _ = fundamental_unit(D)
-        power = epsilon
-        n = 1
-        while power.y % f:
-            power = power * epsilon
-            n += 1
-        assert unit_index(QuadraticOrder(D, f)) == n
+    # oracle: multiply out the full powers epsilon**n, not their residues mod f
+    for D in squarefree_up_to(300):
+        for f in range(1, 41):
+            assert unit_index(QuadraticOrder(D, f)) == unit_index_reference(D, f), (D, f)
 
 
 def test_class_number_order_of_maximal_order_is_field_class_number():
@@ -447,7 +510,8 @@ def test_desk_scale_bound_is_reported():
 
 
 def test_refusal_comes_before_any_class_data_is_built():
-    # disc 399999956: enumerating it takes about a second before the bound
+    # disc 399999956: its reduced forms take 40-65 ms to enumerate and its
+    # class data about 85 ms in all, paid only if the bound is not checked first
     from qde.ktheory import crossed_product_k0
     from qde.predict import predict
 

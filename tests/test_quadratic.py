@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from sympy import continued_fraction_periodic
 
 from oracles import (
     cf_expand_reference,
+    factorize_reference,
     gl2_matrix_search,
     kronecker_two_by_cases,
     legendre_by_squares,
@@ -17,6 +19,8 @@ from oracles import (
 )
 from qde.errors import FieldMismatchError, ParseError, RationalValueError
 from qde.quadratic import (
+    _factorize,
+    _is_probable_prime,
     ContinuedFraction,
     QuadraticInteger,
     QuadraticIrrational,
@@ -439,6 +443,59 @@ def test_squarefree_decompose():
     assert squarefree_decompose(45) == (3, 5)
     assert squarefree_decompose(1) == (1, 1)
     assert squarefree_decompose(9) == (3, 1)
+
+
+def test_factorize_matches_trial_division_below_100000():
+    for n in range(1, 10**5):
+        assert _factorize(n) == factorize_reference(n), n
+
+
+def _chernick_carmichael(k: int) -> tuple[int, int, int] | None:
+    """(6k+1, 12k+1, 18k+1) if all three are prime: their product is a Carmichael number."""
+    from sympy import isprime
+
+    factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+    return factors if all(isprime(p) for p in factors) else None
+
+
+def test_factorize_semiprimes_prime_powers_and_carmichael_numbers_up_to_1e24():
+    from sympy import isprime
+
+    primes = [1009, 999983, 1000003, 100000000003, 999999999989, 1000000000039,
+              10000000019, 10000000033, 10**24 + 7]
+    assert all(isprime(p) for p in primes)
+    cases = {p: {p: 1} for p in primes}
+    cases[1000003 * 1000000000039] = {1000003: 1, 1000000000039: 1}
+    cases[1009 * 999983 * 100000000003] = {1009: 1, 999983: 1, 100000000003: 1}
+    cases[10000000019 * 10000000033] = {10000000019: 1, 10000000033: 1}
+    cases[2**79] = {2: 79}
+    cases[3**50] = {3: 50}
+    cases[999983**4] = {999983: 4}
+    cases[1009**7] = {1009: 7}
+    cases[1000003**2 * 10000000019] = {1000003: 2, 10000000019: 1}
+    chernick = [f for f in map(_chernick_carmichael, range(200, 9 * 10**6, 15_013)) if f]
+    assert len(chernick) >= 3 and 10**23 < max(a * b * c for a, b, c in chernick) < 10**24
+    for a, b, c in chernick:
+        cases[a * b * c] = {a: 1, b: 1, c: 1}
+    for n, expected in cases.items():
+        assert n < 3 * 10**24  # inside the deterministic range of the bases
+        assert _factorize(n) == expected, n
+
+
+def test_miller_rabin_rejects_strong_pseudoprimes_to_fewer_bases():
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    # (Jaeschke; Sorenson-Webster): the 13 fixed bases catch both
+    assert not _is_probable_prime(3825123056546413051)  # 149491 * 747451 * 34233211
+    assert not _is_probable_prime(318665857834031151167461)  # 399165290221 * 798330580441
+    assert _is_probable_prime(10**24 + 7)
+
+
+def test_parse_factors_a_25_digit_prime_radicand_in_under_a_second():
+    # trial division of this radicand did not finish
+    start = time.perf_counter()
+    theta = parse_theta("sqrt(1000000000000000000000007)")
+    assert time.perf_counter() - start < 1.0
+    assert theta == QuadraticIrrational(0, 1, 1, 10**24 + 7)
 
 
 def test_mobius_identity_and_composition(rng):
