@@ -9,14 +9,16 @@ only reduce_cycle and compose return, are the signed form cycles over the
 states.  Classes are composed by the general Dirichlet composition formula
 (any signs, any common divisor of the leading coefficients).  One cached
 object per discriminant holds the wide classes and the identity.  All
-arithmetic is exact and pure Python: the reduced forms come from the divisors
-of m(b) = (disc - b^2)/4 in a window, for each middle coefficient b.  Small
-discriminants try each candidate divisor; larger ones factor every m(b) at
-once with a sieve over b, by the roots of b^2 = disc modulo each prime.
+arithmetic is exact and pure Python: the reduced states, one per pair of
+sign twins, come from the divisors of m(b) = (disc - b^2)/4 in a window, for
+each middle coefficient b.  Small discriminants try each candidate divisor;
+larger ones factor every m(b) at once with a sieve over b, by the roots of
+b^2 = disc modulo each prime.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -44,6 +46,7 @@ __all__ = [
 DEFAULT_MAX_DISC = 10**6
 
 _Form = tuple[int, int, int]
+_State = tuple[int, int]  # (P, Q) = (b, 2|c|) of the forms (a, b, c) and (-a, b, -c)
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class AbelianGroupStructure:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "invariant_factors", tuple(int(d) for d in self.invariant_factors)
+            self, "invariant_factors", tuple(map(operator.index, self.invariant_factors))
         )
         for d in self.invariant_factors:
             if d < 2:
@@ -157,17 +160,21 @@ def _state_form(P: int, Q: int, k: int, disc: int) -> _Form:
     return (-k * (disc - P * P) // (2 * Q), P, k * Q // 2)
 
 
-def _reduce(form: _Form, disc: int, s: int) -> _Form:
-    """A reduced form properly equivalent to the input, by continued-fraction steps."""
+def _reduce(form: _Form, disc: int, s: int) -> tuple[int, int, int]:
+    """The first reduced state (P, Q) of the form's recurrence, with its sign k.
+
+    _state_form(P, Q, k, disc) is then a reduced form properly equivalent to
+    the input.
+    """
     _, b, c = form
     k = 1 if c > 0 else -1
     if _is_reduced_state(b, 2 * k * c, s):
-        return form
+        return b, 2 * k * c, k
     fuel = 4 * max(abs(form[0]), abs(c)).bit_length() + 64
     for _, P, Q in _pq_steps(b, 2 * k * c, disc):
         k = -k
         if _is_reduced_state(P, Q, s):
-            return _state_form(P, Q, k, disc)
+            return P, Q, k
         fuel -= 1
         if fuel < 0:
             raise InvariantError(f"reduction of {form} at discriminant {disc} did not terminate")
@@ -180,11 +187,10 @@ def _cycle(form: _Form, disc: int) -> list[_Form]:
     or twice as long when that is odd and returns with k negated, at the sign
     twin.
     """
-    start = _reduce(form, disc, _check_disc(disc))
-    _, b, c = start
-    k = 1 if c > 0 else -1
+    P, Q, k = _reduce(form, disc, _check_disc(disc))
+    start = _state_form(P, Q, k, disc)
     out = [start]
-    for _, P, Q in _pq_steps(b, 2 * k * c, disc):
+    for _, P, Q in _pq_steps(P, Q, disc):
         k = -k
         nxt = _state_form(P, Q, k, disc)
         if nxt == start:
@@ -212,8 +218,11 @@ def _check_disc(disc: int) -> int:
 _SIEVE_FROM = 250_000
 
 
-def _enumerate_reduced(disc: int) -> list[_Form]:
-    """All reduced primitive forms of the given discriminant, each exactly once.
+def _enumerate_reduced(disc: int) -> list[_State]:
+    """The reduced states of the given discriminant, each exactly once.
+
+    Each state (P, Q) = (b, 2|c|) stands for the two reduced primitive forms
+    (a, b, c) and (-a, b, -c), the sign twins a*c = -(disc - b^2)/4 allows.
 
     A reduced form (a, b, c) has 0 < b <= s = isqrt(disc), and both |a| and
     |c| lie in the window (s - b)/2 < |a|, |c| <= (s + b)/2, with
@@ -221,32 +230,33 @@ def _enumerate_reduced(disc: int) -> list[_Form]:
     divisor d of m in [(s - b)//2 + 1, isqrt(m)]: isqrt(m) <= s//2 never
     exceeds the top of the window, and the cofactor d <= m // d <
     m / ((sqrt(disc) - b)/2) = (sqrt(disc) + b)/2 lies inside it.  Each such
-    d gives the forms with |a| = d and, unless d = m // d, those with |c| = d.
-    The divisors are found by trial below _SIEVE_FROM and by the sieve above;
-    both list the forms in the same order.
+    d gives the state (b, 2*(m // d)) of the forms with |a| = d and, unless
+    d = m // d, the state (b, 2*d) of those with |c| = d.  The divisors are
+    found by trial below _SIEVE_FROM and by the sieve above; both list the
+    states in the same order.
     """
     if disc < _SIEVE_FROM:
         return _scan_reduced(disc)
     return _sieve_reduced(disc)
 
 
-def _scan_reduced(disc: int) -> list[_Form]:
-    """The reduced forms, by trying every candidate divisor in each window."""
+def _scan_reduced(disc: int) -> list[_State]:
+    """The reduced states, by trying every candidate divisor in each window."""
     s = _check_disc(disc)
-    out: list[_Form] = []
+    out: list[_State] = []
     for b in range(2 - (disc & 1), s + 1, 2):
         m = (disc - b * b) // 4
         for d in [d for d in range((s - b) // 2 + 1, isqrt(m) + 1) if not m % d]:
             c = m // d
             if gcd(gcd(d, b), c) == 1:
-                out += ((d, b, -c), (-d, b, c))
+                out.append((b, 2 * c))
                 if c != d:
-                    out += ((c, b, -d), (-c, b, d))
+                    out.append((b, 2 * d))
     return out
 
 
-def _sieve_reduced(disc: int) -> list[_Form]:
-    """The reduced forms, from a factorisation of every m(b) by a sieve over b.
+def _sieve_reduced(disc: int) -> list[_State]:
+    """The reduced states, from a factorisation of every m(b) by a sieve over b.
 
     With b = b0 + 2i, an odd prime p divides m(b) exactly when b is a root of
     b^2 = disc (mod p), so on at most two progressions i = i0 (mod p); p = 2
@@ -275,7 +285,7 @@ def _sieve_reduced(disc: int) -> list[_Form]:
                     r //= p
                     fac.append(p)
                 rest[i] = r
-    out: list[_Form] = []
+    out: list[_State] = []
     for i, (m, r, fac) in enumerate(zip(ms, rest, factors)):
         b = b0 + 2 * i
         lo = (s - b) // 2 + 1
@@ -293,9 +303,9 @@ def _sieve_reduced(disc: int) -> list[_Form]:
         for d in sorted([d for d in divisors if d >= lo]):  # the scan's order
             c = m // d
             if gcd(gcd(d, b), c) == 1:
-                out += ((d, b, -c), (-d, b, c))
+                out.append((b, 2 * c))
                 if c != d:
-                    out += ((c, b, -d), (-c, b, d))
+                    out.append((b, 2 * d))
     return out
 
 
@@ -404,15 +414,15 @@ class _ClassData:
     """
 
     disc: int
-    wide_of: dict[tuple[int, int], _Form]  # reduced state -> its wide class
+    wide_of: dict[_State, _Form]  # reduced state -> its wide class
     classes: tuple[_Form, ...]             # the wide classes, sorted
     identity: _Form                        # wide class of the principal form
     odd: bool                              # odd cycles: narrow and wide classes coincide
 
     def mul(self, x: _Form, y: _Form) -> _Form:
         """Wide class of the composite of x and y."""
-        _, b, c = _reduce(_compose_raw(x, y, self.disc), self.disc, isqrt(self.disc))
-        return self.wide_of[(b, 2 * abs(c))]
+        P, Q, _ = _reduce(_compose_raw(x, y, self.disc), self.disc, isqrt(self.disc))
+        return self.wide_of[(P, Q)]
 
     def positive_forms(self) -> list[_Form]:
         """The least reduced form (a, b, c) with a > 0 of each wide class, sorted."""
@@ -434,14 +444,13 @@ def _class_data(disc: int) -> _ClassData:
     discriminant have the same parity; odd cycles mean narrow = wide, i.e. a
     unit of norm -1 in the order.
     """
-    wide_of: dict[tuple[int, int], _Form] = {}
+    wide_of: dict[_State, _Form] = {}
     parities = set()
-    for _, b, c in _enumerate_reduced(disc):
-        start = (b, 2 * abs(c))
+    for start in _enumerate_reduced(disc):
         if start in wide_of:
             continue
         cycle = [start]
-        for _, P, Q in _pq_steps(b, 2 * abs(c), disc):
+        for _, P, Q in _pq_steps(*start, disc):
             if (P, Q) == start:
                 break
             cycle.append((P, Q))
@@ -555,14 +564,12 @@ def class_number_order(order: QuadraticOrder) -> int:
 
 
 def _element_power(data: _ClassData, x: _Form, e: int) -> _Form:
-    result = data.identity
-    base = x
-    while e:
-        if e & 1:
-            result = data.mul(result, base)
-        e >>= 1
-        if e:
-            base = data.mul(base, base)
+    """The class x**e for e >= 1, by left-to-right binary powering from x."""
+    result = x
+    for bit in bin(e)[3:]:
+        result = data.mul(result, result)
+        if bit == "1":
+            result = data.mul(result, x)
     return result
 
 

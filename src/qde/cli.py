@@ -3,6 +3,9 @@
 Exit status: 0 on success, 1 on a domain error (bad expression, rejected data
 file, desk-scale bound), 2 on a usage error.  --json switches every subcommand
 to the schemas documented in qde.schemas; text output is for humans only.
+
+Each subcommand handler prints nothing and returns its result twice: a JSON
+payload and a text (anything print renders).  main prints one of the two.
 """
 
 from __future__ import annotations
@@ -26,13 +29,6 @@ from .predict import predict
 from .quadratic import cf_expand, fundamental_unit, parse_theta
 
 __all__ = ["main"]
-
-
-def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print(text)
 
 
 def _resolve_order(args) -> QuadraticOrder:
@@ -69,39 +65,30 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _cmd_cf(args) -> int:
+def _cmd_cf(args):
     theta = parse_theta(args.theta)
     cf = cf_expand(theta)
-    _emit(
-        {"theta": str(theta), "preperiod": list(cf.preperiod), "period": list(cf.period)},
-        args.json,
-        f"preperiod={list(cf.preperiod)} period={list(cf.period)}",
-    )
-    return 0
+    return {"theta": str(theta), "preperiod": cf.preperiod, "period": cf.period}, cf
 
 
-def _cmd_unit(args) -> int:
+def _cmd_unit(args):
     epsilon, norm = fundamental_unit(args.D)
     expr = str(epsilon.to_irrational())
-    _emit(
+    return (
         {"D": args.D, "x": epsilon.x, "y": epsilon.y, "norm": norm, "expr": expr},
-        args.json,
         f"epsilon = {epsilon} = {expr}, norm = {norm}",
     )
-    return 0
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args):
     order = endomorphism_ring(parse_theta(args.theta))
-    _emit(
+    return (
         {"D": order.D, "f": order.f, "discriminant": order.discriminant},
-        args.json,
         f"{order} (D={order.D}, f={order.f}, discriminant {order.discriminant})",
     )
-    return 0
 
 
-def _cmd_classgroup(args) -> int:
+def _cmd_classgroup(args):
     order = _resolve_order(args)
     structure = class_group_structure(order, max_disc=_max_disc(args))
     payload = {
@@ -111,31 +98,25 @@ def _cmd_classgroup(args) -> int:
         "h": structure.order,  # checked against the conductor formula
         "h_field": class_number_maximal(order.D),
         "unit_index": unit_index(order),
-        "invariant_factors": list(structure.invariant_factors),
+        "invariant_factors": structure.invariant_factors,
     }
-    _emit(
-        payload,
-        args.json,
+    return payload, (
         f"h = {payload['h']} for {order}; Cl = {structure}; "
-        f"h(field) = {payload['h_field']}, unit index e_f = {payload['unit_index']}",
+        f"h(field) = {payload['h_field']}, unit index e_f = {payload['unit_index']}"
     )
-    return 0
 
 
-def _cmd_companions(args) -> int:
+def _cmd_companions(args):
     order = _resolve_order(args)
     _check_bound(order, _max_disc(args))
-    tori = companion_tori(order)
-    exprs = [str(t) for t in tori]
-    _emit(
-        {"D": order.D, "f": order.f, "count": len(tori), "companions": exprs},
-        args.json,
+    exprs = [str(t) for t in companion_tori(order)]
+    return (
+        {"D": order.D, "f": order.f, "count": len(exprs), "companions": exprs},
         "\n".join(f"companion {i}: {expr}" for i, expr in enumerate(exprs)),
     )
-    return 0
 
 
-def _cmd_k0(args) -> int:
+def _cmd_k0(args):
     theta = parse_theta(args.theta)
     descriptor = crossed_product_k0(theta, max_disc=_max_disc(args))
     galois = descriptor.galois_group
@@ -144,22 +125,16 @@ def _cmd_k0(args) -> int:
         "D": descriptor.order.D,
         "f": descriptor.order.f,
         "k0_rank": descriptor.k0_rank,
-        "trace_generators": list(descriptor.trace_generators),
-        "galois_group": {
-            "invariant_factors": list(galois.invariant_factors),
-            "order": galois.order,
-        },
+        "trace_generators": descriptor.trace_generators,
+        "galois_group": {"invariant_factors": galois.invariant_factors, "order": galois.order},
     }
-    _emit(
-        payload,
-        args.json,
+    return payload, (
         f"K0 rank = {descriptor.k0_rank}; trace generators "
-        f"[{', '.join(descriptor.trace_generators)}]; Galois group {galois}",
+        f"[{', '.join(descriptor.trace_generators)}]; Galois group {galois}"
     )
-    return 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args):
     theta = parse_theta(args.theta)
     p = predict(theta, max_disc=_max_disc(args))
     payload = {
@@ -167,39 +142,18 @@ def _cmd_predict(args) -> int:
         "f": p.order.f,
         "h": p.h_lambda,
         "rank": p.rank,
-        "sha": {
-            "invariant_factors": list(p.sha_structure.invariant_factors),
-            "order": p.sha_order,
-        },
+        "sha": {"invariant_factors": p.sha_structure.invariant_factors, "order": p.sha_order},
         "k0_rank": p.k0_rank,
     }
-    _emit(
-        payload,
-        args.json,
+    return payload, (
         f"rank = {p.rank}, Sha = {p.sha_structure} (order {p.sha_order}), "
-        f"K0 rank = {p.k0_rank} for {p.order}",
+        f"K0 rank = {p.k0_rank} for {p.order}"
     )
-    return 0
 
 
-def _cmd_validate(args) -> int:
-    records = parse_curves(args.input, format=args.format)
-    report = validate(records, jobs=args.jobs)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), separators=(",", ":")))
-        return 0
-    lines = [
-        f"records: {report.total}, consistent: {report.consistent}, "
-        f"violations: {report.violations}"
-    ]
-    for rank, total, consistent in report.by_rank:
-        lines.append(f"  rank {rank}: {consistent}/{total} consistent")
-    for label, rank, sha, predicted in report.violation_rows:
-        lines.append(
-            f"  violation: {label} has rank {rank}, |Sha| {sha}, predicted {predicted}"
-        )
-    print("\n".join(lines))
-    return 0
+def _cmd_validate(args):
+    report = validate(parse_curves(args.input, format=args.format), jobs=args.jobs)
+    return report.to_json_dict(), report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,7 +221,9 @@ def main(argv=None) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        payload, text = args.func(args)
+        print(json.dumps(payload, separators=(",", ":")) if args.json else text)
+        return 0
     except UsageError as exc:
         parser.error(str(exc))  # exits with status 2
         return 2

@@ -23,7 +23,10 @@ _OPTIONAL_COLUMNS = ("torsion_order", "conductor")
 
 @dataclass(frozen=True)
 class CurveRecord:
-    """One data row: an opaque curve label with its analytic invariants."""
+    """One data row: an opaque curve label with its analytic invariants.
+
+    The label is a nonempty str and every count an int (a bool is refused).
+    """
 
     label: str
     rank: int
@@ -32,15 +35,25 @@ class CurveRecord:
     conductor: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a string, got {self.label!r}")
         if not self.label:
             raise ValueError("label must be nonempty")
+        if type(self.rank) is not int or type(self.sha_order) is not int:
+            raise TypeError(
+                f"rank and sha_order must be int, got {self.rank!r} and {self.sha_order!r}"
+            )
         if self.rank < 0:
             raise ValueError(f"rank must be >= 0, got {self.rank}")
         if self.sha_order < 1:
             raise ValueError(f"sha_order must be >= 1, got {self.sha_order}")
-        for name in ("torsion_order", "conductor"):
+        for name in _OPTIONAL_COLUMNS:
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if type(value) is not int:
+                raise TypeError(f"{name} must be int or None, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
 
@@ -57,6 +70,19 @@ class ValidationReport:
     def __post_init__(self):
         if self.consistent + self.violations != self.total:
             raise ValueError("consistent + violations must equal total")
+
+    def __str__(self) -> str:
+        lines = [
+            f"records: {self.total}, consistent: {self.consistent}, "
+            f"violations: {self.violations}"
+        ]
+        for rank, total, consistent in self.by_rank:
+            lines.append(f"  rank {rank}: {consistent}/{total} consistent")
+        for label, rank, sha, predicted in self.violation_rows:
+            lines.append(
+                f"  violation: {label} has rank {rank}, |Sha| {sha}, predicted {predicted}"
+            )
+        return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,12 +137,15 @@ def _build_record(fields: dict, where: str, problems: list[str], seen: set[str])
         if ints[name] is None:
             problems.append(f"{where}: column {name!r} is required")
             return None
+    if not isinstance(label, str):
+        problems.append(f"{where}: label must be a string, got {label!r}")
+        return None
     if label in seen:
         problems.append(f"{where}: duplicate label {label!r}")
         return None
     try:
         record = CurveRecord(
-            label=str(label),
+            label=label,
             rank=ints["rank"],
             sha_order=ints["sha_order"],
             torsion_order=ints["torsion_order"],

@@ -8,6 +8,7 @@ anywhere.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -256,13 +257,13 @@ class ContinuedFraction:
     period: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(int(x) for x in self.preperiod))
-        object.__setattr__(self, "period", tuple(int(x) for x in self.period))
+        object.__setattr__(self, "preperiod", tuple(map(operator.index, self.preperiod)))
+        object.__setattr__(self, "period", tuple(map(operator.index, self.period)))
         if not self.period:
             raise ValueError("period must be nonempty")
-        if any(x < 1 for x in self.period):
+        if min(self.period) < 1:
             raise ValueError(f"period quotients must be >= 1, got {self.period}")
-        if any(x < 1 for x in self.preperiod[1:]):
+        if min(self.preperiod[1:], default=1) < 1:
             raise ValueError(
                 f"preperiod quotients after the first must be >= 1, got {self.preperiod}"
             )

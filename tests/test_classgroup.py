@@ -21,6 +21,7 @@ from qde.classgroup import (
     BinaryQuadraticForm,
     _SIEVE_FROM,
     _class_data,
+    _element_power,
     _enumerate_reduced,
     _primes_upto,
     _principal_form,
@@ -86,9 +87,10 @@ def test_reduce_cycle_rejects_imprimitive():
 
 
 def _assert_enumeration_matches_reference(disc, enumerate_reduced=_enumerate_reduced):
-    forms = enumerate_reduced(disc)
-    assert len(forms) == len(set(forms)), disc  # each form exactly once
-    assert set(forms) == reduced_forms_reference(disc), disc
+    states = enumerate_reduced(disc)
+    assert len(states) == len(set(states)), disc  # each state exactly once
+    # a state (b, 2|c|) stands for the sign twins (a, b, c) and (-a, b, -c)
+    assert set(states) == {(b, 2 * abs(c)) for _, b, c in reduced_forms_reference(disc)}, disc
 
 
 def test_enumeration_matches_reference_below_1500():
@@ -109,8 +111,9 @@ def test_sieve_matches_reference_below_6000():
 )
 def test_enumeration_of_forms_with_equal_outer_coefficients(a, b):
     # (a, b, -a) has disc b^2 + 4a^2 and |a| = |c|: the divisor a of m = a^2
-    # is its own cofactor and must give its two forms once, not twice, on
-    # either path (the last disc, 313001, is above _SIEVE_FROM)
+    # is its own cofactor and must give the state (b, 2a) of its two forms
+    # once, not twice, on either path (the last disc, 313001, is above
+    # _SIEVE_FROM)
     disc = b * b + 4 * a * a
     assert {(a, b, -a), (-a, b, a)} <= reduced_forms_reference(disc)
     for enumerate_reduced in (_scan_reduced, _sieve_reduced, _enumerate_reduced):
@@ -118,9 +121,9 @@ def test_enumeration_of_forms_with_equal_outer_coefficients(a, b):
 
 
 def _assert_sieve_matches_scan(disc):
-    forms = _sieve_reduced(disc)
-    assert len(forms) == len(set(forms)), disc
-    assert forms == _scan_reduced(disc), disc  # the same forms in the same order
+    states = _sieve_reduced(disc)
+    assert len(states) == len(set(states)), disc
+    assert states == _scan_reduced(disc), disc  # the same states in the same order
 
 
 def test_sieve_matches_scan_on_random_discriminants():
@@ -227,7 +230,7 @@ def test_reduce_cycle_matches_the_rho_oracle_element_for_element():
 def _classes(disc):
     """The narrow classes, one least reduced form per cycle, sorted."""
     seen, reps = set(), []
-    for form in _enumerate_reduced(disc):
+    for form in reduced_forms_reference(disc):
         if form not in seen:
             cycle = reduce_cycle(BinaryQuadraticForm(*form))
             seen.update(f.as_tuple() for f in cycle)
@@ -489,6 +492,18 @@ def test_invariant_factors_of_a_noncyclic_two_part():
         assert not solution_counts_certify(data.classes, power, data.identity, (8,))
 
 
+def test_element_power_matches_repeated_multiplication():
+    # e runs past h, so the powers wrap round through the identity
+    for disc in SWEEP_DISCS:
+        data = _class_data(disc)
+        h = len(data.classes)
+        for x in data.classes:
+            product = x
+            for e in range(1, 2 * h + 2):
+                assert _element_power(data, x, e) == product, (disc, x, e)
+                product = data.mul(product, x)
+
+
 def test_class_group_structure_is_deterministic():
     first = class_group_structure(QuadraticOrder(79, 1))
     second = class_group_structure(QuadraticOrder(79, 1))
@@ -548,6 +563,12 @@ def test_abelian_group_validation():
         AbelianGroupStructure((4, 2))  # not a divisibility chain
     with pytest.raises(ValueError):
         AbelianGroupStructure((2, 3))
+
+
+def test_abelian_group_rejects_non_integer_factors():
+    # int() used to truncate 2.5 to 2 and parse "4", printing Z/2 x Z/4
+    with pytest.raises(TypeError):
+        AbelianGroupStructure((2.5, "4"))
 
 
 def test_direct_sum_matches_merge_oracle(rng):

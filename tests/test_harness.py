@@ -100,6 +100,49 @@ def test_curve_record_validation():
         CurveRecord("x", 0, 0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (5, 0, 2),  # validate() used to fail sorting it next to a string label
+        (None, 0, 1),
+        ("x", 0.5, 1),  # used to report "predicted": 2.25
+        ("x", 0, "1"),
+        ("x", True, 4),
+        ("x", 0, 1, 5.0),
+        ("x", 0, 1, None, "11"),
+    ],
+)
+def test_curve_record_rejects_non_string_labels_and_non_integer_counts(args):
+    with pytest.raises(TypeError):
+        CurveRecord(*args)
+
+
+@pytest.mark.parametrize(
+    "rows,problem",
+    [
+        # used to become the label "5" twice, a duplicate never caught
+        ('[{"label": 5, "rank": 0, "sha_order": 1}, {"label": "5", "rank": 0, "sha_order": 1}]',
+         "row 0: label must be a string, got 5"),
+        # used to become the label "None"
+        ('[{"label": "a", "rank": 0, "sha_order": 1}, {"label": null, "rank": 0, "sha_order": 1}]',
+         "row 1: label must be a string, got None"),
+        # used to crash with TypeError: unhashable type: 'list'
+        ('[{"label": ["a"], "rank": 0, "sha_order": 1}]',
+         "row 0: label must be a string, got ['a']"),
+    ],
+)
+def test_parse_json_rejects_a_non_string_label_with_its_row(tmp_path, capsys, rows, problem):
+    path = tmp_path / "rows.json"
+    path.write_text(rows)
+    with pytest.raises(CurveDataError) as info:
+        parse_curves(str(path), format="json")
+    assert info.value.problems == [problem]
+    assert main(["validate", "--input", str(path), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: curve data rejected: ")
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -161,6 +204,40 @@ def test_cli_predict_json_exact(capsys):
 def test_cli_cf_text(capsys):
     assert main(["cf", "--theta", "(1+sqrt(5))/2"]) == 0
     assert capsys.readouterr().out.strip() == "preperiod=[] period=[1]"
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["unit", "--D", "94"],
+         "epsilon = 2143295 + 221064*sqrt(94) = 2143295+221064*sqrt(94), norm = 1"),
+        (["order", "--theta", "sqrt(8)"],
+         "Z + 2*O_Q(sqrt(2)) (D=2, f=2, discriminant 32)"),
+        (["classgroup", "--D", "79", "--f", "3"],
+         "h = 6 for Z + 3*O_Q(sqrt(79)); Cl = Z/6; h(field) = 3, unit index e_f = 1"),
+        (["companions", "--D", "79"],
+         "companion 0: -8+sqrt(79)\n"
+         "companion 1: (-7+sqrt(79))/3\n"
+         "companion 2: (-8+sqrt(79))/3"),
+        (["k0", "--theta", "sqrt(10)"],
+         "K0 rank = 3; trace generators [1, theta, lambda_1]; Galois group Z/2"),
+        (["predict", "--theta", "sqrt(10)"],
+         "rank = 1, Sha = Z/2 x Z/2 (order 4), K0 rank = 3 for O_Q(sqrt(10))"),
+        (["validate", "--input", str(FIXTURES / "curves.csv")],
+         "records: 6, consistent: 2, violations: 4\n"
+         "  rank 0: 2/3 consistent\n"
+         "  rank 1: 0/1 consistent\n"
+         "  rank 2: 0/1 consistent\n"
+         "  rank 3: 0/1 consistent\n"
+         "  violation: 37a1 has rank 1, |Sha| 1, predicted 4\n"
+         "  violation: 389a1 has rank 2, |Sha| 1, predicted 9\n"
+         "  violation: 5077a1 has rank 3, |Sha| 1, predicted 16\n"
+         "  violation: 571a1 has rank 0, |Sha| 4, predicted 1"),
+    ],
+)
+def test_cli_text_output_exact(capsys, argv, text):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text + "\n"
 
 
 def test_cli_validate_fixture(capsys):

@@ -279,6 +279,18 @@ def test_continued_fraction_validation():
     ContinuedFraction((), (2, 1, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "preperiod,period",
+    [
+        ([2.5], [1.9, 3]),  # int() used to truncate these to [2] and [1, 3]
+        (["3"], [True]),  # int() used to parse "3"
+    ],
+)
+def test_continued_fraction_rejects_non_integer_quotients(preperiod, period):
+    with pytest.raises(TypeError):
+        ContinuedFraction(preperiod, period)
+
+
 # ---------------------------------------------------------------------------
 # fundamental units
 # ---------------------------------------------------------------------------
