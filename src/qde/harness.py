@@ -4,6 +4,13 @@ A curve record carries an analytic rank and an analytic |Sha| as supplied by
 the data source.  Validation marks a record consistent exactly when
 |Sha| = (1 + rank)**2 and aggregates the outcome per rank.  Records are never
 matched to any particular quadratic irrational.
+
+`parse_curves` is the one loop that turns rows into records: a per-format
+reader (`_csv_rows`, `_json_rows`) yields each row with its line or row
+number, `_build_record` checks it, and every bad row's problem is collected
+before one CurveDataError is raised.  A UTF-8 byte-order mark is accepted in
+either format, and the warning for a file without data rows names the line
+that called `parse_curves`.
 """
 
 from __future__ import annotations
@@ -117,109 +124,69 @@ def _check_header(header: list[str], line_num: int) -> list[str]:
     return header
 
 
-def _build_record(fields: dict, where: str, problems: list[str], seen: set[str]):
+def _build_record(fields: dict, seen: set[str]) -> CurveRecord:
+    """The record of one row; a bad row raises ValueError naming its problem."""
     label = fields.get("label", "")
     ints: dict[str, int | None] = {}
     for name in ("rank", "sha_order") + _OPTIONAL_COLUMNS:
         raw = fields.get(name)
         if raw is None or raw == "":
             ints[name] = None
-            continue
-        if isinstance(raw, int) and not isinstance(raw, bool):
+        elif isinstance(raw, int) and not isinstance(raw, bool):
             ints[name] = raw
-            continue
-        try:
-            ints[name] = int(str(raw).strip(), 10)
-        except ValueError:
-            problems.append(f"{where}: column {name!r} is not a base-10 integer: {raw!r}")
-            return None
+        else:
+            try:
+                ints[name] = int(str(raw).strip(), 10)
+            except ValueError:
+                raise ValueError(f"column {name!r} is not a base-10 integer: {raw!r}") from None
     for name in ("rank", "sha_order"):
         if ints[name] is None:
-            problems.append(f"{where}: column {name!r} is required")
-            return None
+            raise ValueError(f"column {name!r} is required")
     if not isinstance(label, str):
-        problems.append(f"{where}: label must be a string, got {label!r}")
-        return None
+        raise ValueError(f"label must be a string, got {label!r}")
     if label in seen:
-        problems.append(f"{where}: duplicate label {label!r}")
-        return None
-    try:
-        record = CurveRecord(
-            label=label,
-            rank=ints["rank"],
-            sha_order=ints["sha_order"],
-            torsion_order=ints["torsion_order"],
-            conductor=ints["conductor"],
-        )
-    except ValueError as exc:
-        problems.append(f"{where}: {exc}")
-        return None
+        raise ValueError(f"duplicate label {label!r}")
+    record = CurveRecord(label, **ints)
     seen.add(label)
     return record
 
 
-def _parse_csv(path: str) -> list[CurveRecord]:
-    problems: list[str] = []
-    records: list[CurveRecord] = []
-    seen: set[str] = set()
+def _csv_rows(handle):
+    """(where, fields) per data line; a ValueError stands in for a malformed row."""
+    reader = csv.reader(handle)
     header: list[str] | None = None
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue  # provenance comments and blank lines
-            cells = [cell.strip() for cell in row]
-            if header is None:
-                header = _check_header(cells, reader.line_num)
-                continue
-            where = f"line {reader.line_num}"
-            if len(cells) != len(header):
-                problems.append(
-                    f"{where}: expected {len(header)} columns, found {len(cells)}"
-                )
-                continue
-            record = _build_record(dict(zip(header, cells)), where, problems, seen)
-            if record is not None:
-                records.append(record)
+    for row in reader:
+        if not row or row[0].lstrip().startswith("#"):
+            continue  # provenance comments and blank lines
+        cells = [cell.strip() for cell in row]
+        if header is None:
+            header = _check_header(cells, reader.line_num)
+        elif len(cells) != len(header):
+            yield f"line {reader.line_num}", ValueError(
+                f"expected {len(header)} columns, found {len(cells)}"
+            )
+        else:
+            yield f"line {reader.line_num}", dict(zip(header, cells))
     if header is None:
         raise CurveDataError(["line 1: missing header row"])
-    if problems:
-        raise CurveDataError(problems)
-    if not records:
-        warnings.warn(f"{path}: no data rows found", stacklevel=2)
-    return records
 
 
-def _parse_json(path: str) -> list[CurveRecord]:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise CurveDataError([f"line {exc.lineno}: {exc.msg}"]) from exc
+def _json_rows(handle):
+    """(where, fields) per array element; a ValueError stands in for a malformed row."""
+    try:
+        data = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise CurveDataError([f"line {exc.lineno}: {exc.msg}"]) from exc
     if not isinstance(data, list):
         raise CurveDataError(["row 0: top-level JSON value must be an array of objects"])
-    problems: list[str] = []
-    records: list[CurveRecord] = []
-    seen: set[str] = set()
     allowed = set(_BASE_COLUMNS) | set(_OPTIONAL_COLUMNS)
     for i, item in enumerate(data):
         data[i] = None  # drop each parsed row once read, so rows and records never all coexist
-        where = f"row {i}"
         if not isinstance(item, dict):
-            problems.append(f"{where}: expected an object")
-            continue
-        unknown = set(item) - allowed
-        if unknown:
-            problems.append(f"{where}: unknown keys {sorted(unknown)}")
-            continue
-        record = _build_record(item, where, problems, seen)
-        if record is not None:
-            records.append(record)
-    if problems:
-        raise CurveDataError(problems)
-    if not records:
-        warnings.warn(f"{path}: no data rows found", stacklevel=2)
-    return records
+            item = ValueError("expected an object")
+        elif unknown := set(item) - allowed:
+            item = ValueError(f"unknown keys {sorted(unknown)}")
+        yield f"row {i}", item
 
 
 def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
@@ -227,14 +194,32 @@ def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
 
     CSV needs a header row ``label,rank,sha_order[,torsion_order][,conductor]``;
     lines starting with ``#`` are treated as comments.  JSON is an array of
-    objects with the same keys.  All rows must parse; otherwise a
-    CurveDataError carrying every line-numbered problem is raised.
+    objects with the same keys.  Either file may start with a UTF-8 byte-order
+    mark.  Both formats feed one loop that builds the records, so all rows
+    must parse; otherwise a CurveDataError carrying every line-numbered
+    problem is raised.  A file with no data rows warns at the caller's line.
     """
-    if format == "csv":
-        return _parse_csv(path)
-    if format == "json":
-        return _parse_json(path)
-    raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
+    rows = {"csv": _csv_rows, "json": _json_rows}.get(format)
+    if rows is None:
+        raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
+    problems: list[str] = []
+    records: list[CurveRecord] = []
+    seen: set[str] = set()
+    # csv wants newline=""; JSON keeps universal newlines for its error line numbers
+    newline = "" if format == "csv" else None
+    with open(path, newline=newline, encoding="utf-8-sig") as handle:
+        for where, fields in rows(handle):
+            try:
+                if isinstance(fields, ValueError):
+                    raise fields
+                records.append(_build_record(fields, seen))
+            except ValueError as exc:
+                problems.append(f"{where}: {exc}")
+    if problems:
+        raise CurveDataError(problems)
+    if not records:
+        warnings.warn(f"{path}: no data rows found", stacklevel=2)
+    return records
 
 
 def validate(records, jobs: int = 1) -> ValidationReport:

@@ -46,13 +46,26 @@ class QuadraticOrder:
         return f"Z + {self.f}*O_Q(sqrt({self.D}))" if self.f > 1 else f"O_Q(sqrt({self.D}))"
 
 
-def _as_pair(value: Generator | int, D: int | None) -> tuple[Fraction, Fraction, int | None]:
-    """Coordinates (u, v) of a field element u + v*sqrt(D); checks the field tag."""
-    if isinstance(value, QuadraticIrrational):
-        if D is not None and value.D != D:
-            raise FieldMismatchError(f"generator in Q(sqrt({value.D})), expected Q(sqrt({D}))")
-        return Fraction(value.a, value.c), Fraction(value.b, value.c), value.D
-    return Fraction(value), Fraction(0), D
+def _coords(gens) -> tuple[list[tuple[Fraction, Fraction]], int | None]:
+    """Coordinates (u, v) of each generator u + v*sqrt(D), and the one shared D.
+
+    A generator is an int (not a bool), a Fraction or a QuadraticIrrational.
+    """
+    D = None
+    coords = []
+    for g in gens:
+        if isinstance(g, QuadraticIrrational):
+            if D is not None and g.D != D:
+                raise FieldMismatchError(f"generator in Q(sqrt({g.D})), expected Q(sqrt({D}))")
+            D = g.D
+            coords.append((Fraction(g.a, g.c), Fraction(g.b, g.c)))
+        elif isinstance(g, (int, Fraction)) and not isinstance(g, bool):
+            coords.append((Fraction(g), Fraction(0)))
+        else:
+            raise TypeError(
+                f"a generator must be an int, Fraction or QuadraticIrrational, got {g!r}"
+            )
+    return coords, D
 
 
 def _from_pair(u: Fraction, v: Fraction, D: int | None) -> Generator:
@@ -75,7 +88,8 @@ def _div_pairs(u1, v1, u2, v2, D) -> tuple[Fraction, Fraction]:
 class PseudoLattice:
     """Finitely generated subgroup of R spanned by generators in one field.
 
-    Generators are recorded in order; by convention generator 0 is 1.  The
+    Generators are ints, Fractions or QuadraticIrrationals (anything else is
+    a TypeError), recorded in order; by convention generator 0 is 1.  The
     recorded generators must be Z-linearly independent, which for elements of
     a single quadratic field caps the rank at 2.
     """
@@ -85,11 +99,7 @@ class PseudoLattice:
     def __post_init__(self):
         if not self.generators:
             raise ValueError("a pseudo-lattice needs at least one generator")
-        D = None
-        coords = []
-        for g in self.generators:
-            u, v, D = _as_pair(g, D)
-            coords.append((u, v))
+        coords, D = _coords(self.generators)
         rank = _coord_rank(coords)
         if rank != len(coords):
             raise DependentGeneratorsError(
@@ -125,11 +135,7 @@ def normalize_pseudolattice(gens) -> PseudoLattice:
     gens = list(gens)
     if not gens:
         raise ValueError("no generators given")
-    D = None
-    coords = []
-    for g in gens:
-        u, v, D = _as_pair(g, D)
-        coords.append((u, v))
+    coords, D = _coords(gens)
     u0, v0 = coords[0]
     if (u0, v0) == (0, 0):
         raise ZeroDivisionError("leading generator is zero, cannot scale by it")

@@ -63,10 +63,17 @@ def test_parse_rejects_unknown_header(tmp_path):
 
 
 def test_parse_empty_file_warns(tmp_path):
+    # the warning names the caller's line, not a line inside qde.harness
     path = tmp_path / "empty.csv"
     path.write_text("# nothing here yet\nlabel,rank,sha_order\n")
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as rec:
         assert parse_curves(str(path)) == []
+    assert rec[0].filename == __file__
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    with pytest.warns(UserWarning) as rec:
+        assert parse_curves(str(path), format="json") == []
+    assert rec[0].filename == __file__
 
 
 def test_parse_skips_comment_lines(tmp_path):
@@ -141,6 +148,86 @@ def test_parse_json_rejects_a_non_string_label_with_its_row(tmp_path, capsys, ro
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: curve data rejected: ")
     assert "Traceback" not in captured.err
+
+
+BAD_CSV = (
+    "# every CSV row problem, one row each\n"
+    "label,rank,sha_order,torsion_order,conductor\n"
+    "a,0,1,,11\n"
+    "a,1,4,,37\n"
+    "b,zero,1,,\n"
+    "\n"
+    "c,0,1\n"
+    "d,,1,,\n"
+    "# mid-file comment\n"
+    "e,-1,1,,\n"
+    "f,0,0,,\n"
+    ",0,1,,\n"
+    "g,0,1,0,\n"
+    "h,0,1,,0\n"
+    "i,1,4,2,389\n"
+)
+BAD_CSV_PROBLEMS = [
+    "line 4: duplicate label 'a'",
+    "line 5: column 'rank' is not a base-10 integer: 'zero'",
+    "line 7: expected 5 columns, found 3",
+    "line 8: column 'rank' is required",
+    "line 10: rank must be >= 0, got -1",
+    "line 11: sha_order must be >= 1, got 0",
+    "line 12: label must be nonempty",
+    "line 13: torsion_order must be >= 1, got 0",
+    "line 14: conductor must be >= 1, got 0",
+]
+BAD_JSON = """[
+  {"label": "a", "rank": 0, "sha_order": 1},
+  7,
+  {"label": "b", "rank": 0, "sha_order": 1, "extra": 1, "cond": 2},
+  {"label": 5, "rank": 0, "sha_order": 1},
+  {"label": null, "rank": 0, "sha_order": 1},
+  {"label": ["a"], "rank": 0, "sha_order": 1},
+  {"label": "c", "rank": true, "sha_order": 4},
+  {"label": "d", "rank": 0, "sha_order": 1.0},
+  {"rank": 0, "sha_order": 1},
+  {"label": "a", "rank": 1, "sha_order": 4},
+  {"label": "e", "sha_order": 1},
+  {"label": "f", "rank": 0, "sha_order": 1, "torsion_order": 0},
+  {"label": "g", "rank": "x", "sha_order": 1},
+  ["a"],
+  {"label": "h", "rank": -2, "sha_order": 1},
+  {"label": "i", "rank": 1, "sha_order": 4, "conductor": 37}
+]
+"""
+BAD_JSON_PROBLEMS = [
+    "row 1: expected an object",
+    "row 2: unknown keys ['cond', 'extra']",
+    "row 3: label must be a string, got 5",
+    "row 4: label must be a string, got None",
+    "row 5: label must be a string, got ['a']",
+    "row 6: column 'rank' is not a base-10 integer: True",
+    "row 7: column 'sha_order' is not a base-10 integer: 1.0",
+    "row 8: label must be nonempty",
+    "row 9: duplicate label 'a'",
+    "row 10: column 'rank' is required",
+    "row 11: torsion_order must be >= 1, got 0",
+    "row 12: column 'rank' is not a base-10 integer: 'x'",
+    "row 13: expected an object",
+    "row 14: rank must be >= 0, got -2",
+]
+
+
+@pytest.mark.parametrize(
+    "name,text,fmt,problems",
+    [
+        ("bad.csv", BAD_CSV, "csv", BAD_CSV_PROBLEMS),
+        ("bad.json", BAD_JSON, "json", BAD_JSON_PROBLEMS),
+    ],
+)
+def test_parse_reports_every_row_problem_in_order(tmp_path, name, text, fmt, problems):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(CurveDataError) as info:
+        parse_curves(str(path), format=fmt)
+    assert info.value.problems == problems
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +333,20 @@ def test_cli_validate_fixture(capsys):
     assert report["consistent"] + report["violations"] == report["total"]
     flagged = {row["label"] for row in report["violation_rows"]}
     assert "37a1" in flagged and "11a1" not in flagged
+
+
+@pytest.mark.parametrize("name,fmt", [("curves.csv", "csv"), ("curves.json", "json")])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_cli_validate_accepts_a_utf8_byte_order_mark(tmp_path, capsys, name, fmt, flags):
+    # spreadsheet "CSV UTF-8" exports start with one; it used to be read into
+    # the first header cell (CSV) or refused by the decoder (JSON), exit 1
+    plain = FIXTURES / name
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["validate", "--input", str(plain), "--format", fmt, *flags]) == 0
+    expected = capsys.readouterr()
+    assert main(["validate", "--input", str(marked), "--format", fmt, *flags]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_cli_prints_a_unit_beyond_the_int_str_digit_limit(capsys):

@@ -133,6 +133,19 @@ def test_pseudolattice_rank_counts_every_pair_of_generators():
         PseudoLattice((Fraction(1), Fraction(0), parse_theta("sqrt(2)")))
 
 
+@pytest.mark.parametrize("bad", [0.1, "3", True])
+def test_pseudolattice_generators_are_ints_fractions_or_quadratic_irrationals(bad):
+    # a float used to enter exact arithmetic through its binary expansion
+    # (b=36028797018963968 for 0.1), and a str was stored as a generator
+    theta = parse_theta("sqrt(2)")
+    with pytest.raises(TypeError):
+        normalize_pseudolattice([bad, theta])
+    with pytest.raises(TypeError):
+        PseudoLattice((bad, theta))
+    with pytest.raises(TypeError):
+        PseudoLattice((Fraction(1), bad))
+
+
 # ---------------------------------------------------------------------------
 # companion tori
 # ---------------------------------------------------------------------------
