@@ -16,7 +16,6 @@ from .classgroup import (
     class_number_maximal,
     class_number_order,
     compose,
-    galois_group_Kab,
     reduce_cycle,
     unit_index,
 )
@@ -31,13 +30,7 @@ from .errors import (
     RationalValueError,
 )
 from .harness import CurveRecord, ValidationReport, parse_curves, validate
-from .ktheory import (
-    FiniteGroupTower,
-    KTheoryDescriptor,
-    af_k0_truncated,
-    crossed_product_k0,
-    group_algebra_decomposition,
-)
+from .ktheory import KTheoryDescriptor, crossed_product_k0
 from .lattice import (
     PseudoLattice,
     QuadraticOrder,
@@ -71,7 +64,6 @@ __all__ = [
     "DependentGeneratorsError",
     "DiscriminantBoundError",
     "FieldMismatchError",
-    "FiniteGroupTower",
     "InvariantError",
     "KTheoryDescriptor",
     "ParseError",
@@ -83,7 +75,6 @@ __all__ = [
     "QuadraticOrder",
     "RationalValueError",
     "ValidationReport",
-    "af_k0_truncated",
     "cf_expand",
     "cf_value",
     "class_group_structure",
@@ -94,9 +85,7 @@ __all__ = [
     "crossed_product_k0",
     "endomorphism_ring",
     "fundamental_unit",
-    "galois_group_Kab",
     "gl2z_equivalent",
-    "group_algebra_decomposition",
     "kronecker",
     "normalize_pseudolattice",
     "parse_curves",

@@ -38,7 +38,6 @@ __all__ = [
     "unit_index",
     "class_number_order",
     "class_group_structure",
-    "galois_group_Kab",
     "DEFAULT_MAX_DISC",
 ]
 
@@ -642,14 +641,3 @@ def class_group_structure(
             f"formula value {expected} for {order}"
         )
     return structure
-
-
-def galois_group_Kab(
-    order: QuadraticOrder, max_disc: int | None = None
-) -> AbelianGroupStructure:
-    """Galois group of the maximal abelian extension of conductor f over the field.
-
-    Identical to the class group of the order; the alias exists for call sites
-    that speak about field extensions rather than ideals.
-    """
-    return class_group_structure(order, max_disc=max_disc)

@@ -135,8 +135,12 @@ def _build_record(fields: dict, seen: set[str]) -> CurveRecord:
         elif isinstance(raw, int) and not isinstance(raw, bool):
             ints[name] = raw
         else:
+            text = str(raw).strip()
             try:
-                ints[name] = int(str(raw).strip(), 10)
+                # int() alone would also take digit-group underscores and non-ASCII digits
+                if not text.isascii() or "_" in text:
+                    raise ValueError
+                ints[name] = int(text, 10)
             except ValueError:
                 raise ValueError(f"column {name!r} is not a base-10 integer: {raw!r}") from None
     for name in ("rank", "sha_order"):

@@ -249,16 +249,19 @@ class QuadraticIrrational:
 class ContinuedFraction:
     """Eventually periodic continued fraction with minimal preperiod and period.
 
-    The first preperiod quotient may be any integer; all later quotients are
-    >= 1.  The period is nonempty.
+    The first preperiod quotient may be any integer (not a bool); all later
+    quotients are >= 1.  The period is nonempty.
     """
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(map(operator.index, self.preperiod)))
-        object.__setattr__(self, "period", tuple(map(operator.index, self.period)))
+        for name in ("preperiod", "period"):
+            quotients = tuple(getattr(self, name))
+            if bool in set(map(type, quotients)):
+                raise TypeError(f"{name} quotients must be integers, not bools")
+            object.__setattr__(self, name, tuple(map(operator.index, quotients)))
         if not self.period:
             raise ValueError("period must be nonempty")
         if min(self.period) < 1:

@@ -32,7 +32,6 @@ from qde.classgroup import (
     class_number_maximal,
     class_number_order,
     compose,
-    galois_group_Kab,
     reduce_cycle,
     unit_index,
 )
@@ -544,9 +543,13 @@ def test_refusal_comes_before_any_class_data_is_built():
 
 
 def test_galois_group_is_the_class_group():
-    for D in (5, 10, 79, 82):
+    from qde.ktheory import crossed_product_k0
+    from qde.lattice import companion_tori
+
+    for D in (5, 10, 79, 82, 399):  # 399 has the noncyclic group Z/2 x Z/4
         order = QuadraticOrder(D, 1)
-        assert galois_group_Kab(order) == class_group_structure(order)
+        theta = companion_tori(order)[0]
+        assert crossed_product_k0(theta).galois_group == class_group_structure(order)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,33 @@ def test_parse_reports_every_row_problem_in_order(tmp_path, name, text, fmt, pro
     assert info.value.problems == problems
 
 
+ONE_ROW = {  # format: (a one-row file around a rank cell, where its problem is reported)
+    "csv": ("label,rank,sha_order\na,{},1\n", "line 2"),
+    "json": ('[{{"label": "a", "rank": "{}", "sha_order": 1}}]', "row 0"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "cell",
+    [
+        "1_0",  # int() used to read it as rank 10
+        "٣",  # an Arabic-Indic three; int() used to read it as rank 3
+    ],
+)
+def test_parse_refuses_counts_that_are_not_ascii_base_10(tmp_path, capsys, fmt, cell):
+    text, where = ONE_ROW[fmt]
+    path = tmp_path / f"rows.{fmt}"
+    path.write_text(text.format(cell), encoding="utf-8")
+    with pytest.raises(CurveDataError) as info:
+        parse_curves(str(path), format=fmt)
+    assert info.value.problems == [f"{where}: column 'rank' is not a base-10 integer: {cell!r}"]
+    assert main(["validate", "--input", str(path), "--format", fmt]) == 1
+    assert capsys.readouterr().out == ""
+    path.write_text(text.format(" +3 "), encoding="utf-8")  # a sign and padding stay allowed
+    assert parse_curves(str(path), format=fmt) == [CurveRecord("a", 3, 1)]
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

@@ -1,14 +1,6 @@
-import pytest
-
 from oracles import order_parameters
 from qde.classgroup import AbelianGroupStructure, class_number_order
-from qde.errors import InvariantError
-from qde.ktheory import (
-    FiniteGroupTower,
-    af_k0_truncated,
-    crossed_product_k0,
-    group_algebra_decomposition,
-)
+from qde.ktheory import crossed_product_k0
 from qde.lattice import QuadraticOrder, companion_tori
 from qde.quadratic import parse_theta
 
@@ -62,67 +54,3 @@ def test_descriptor_is_invariant_across_companions():
             assert other.lambda_classes == first.lambda_classes
             assert other.order == first.order
 
-
-@pytest.mark.parametrize(
-    "factors,blocks",
-    [((), (1,)), ((2,), (1, 1)), ((2, 2), (1, 1, 1, 1)), ((3,), (1, 1, 1))],
-)
-def test_group_algebra_decomposition(factors, blocks):
-    group = AbelianGroupStructure(factors)
-    dims = group_algebra_decomposition(group)
-    assert dims == blocks
-    assert len(dims) == group.order  # one character per element
-    assert sum(dims) == group.order
-
-
-def test_af_k0_truncated_returns_top_level():
-    tower = FiniteGroupTower(
-        levels=(AbelianGroupStructure((2,)), AbelianGroupStructure((2, 2))),
-        inclusions=(((1, 0),),),
-    )
-    assert af_k0_truncated(tower) == AbelianGroupStructure((2, 2))
-
-
-def test_af_k0_truncated_single_level():
-    group = AbelianGroupStructure((6,))
-    assert af_k0_truncated(FiniteGroupTower((group,), ())) == group
-
-
-def test_af_k0_truncated_doubling_tower():
-    tower = FiniteGroupTower(
-        levels=(
-            AbelianGroupStructure(()),
-            AbelianGroupStructure((2,)),
-            AbelianGroupStructure((4,)),
-        ),
-        inclusions=((), ((2,),)),
-    )
-    assert af_k0_truncated(tower) == AbelianGroupStructure((4,))
-
-
-def test_af_k0_truncated_constant_tower():
-    group = AbelianGroupStructure((3,))
-    tower = FiniteGroupTower((group, group), (((1,),),))
-    assert af_k0_truncated(tower) == group
-
-
-def test_af_k0_rejects_non_injective_inclusion():
-    tower = FiniteGroupTower(
-        levels=(AbelianGroupStructure((2,)), AbelianGroupStructure((4,))),
-        inclusions=(((0,),),),  # collapses the generator
-    )
-    with pytest.raises(InvariantError):
-        af_k0_truncated(tower)
-
-
-def test_tower_rejects_ill_defined_maps():
-    with pytest.raises(ValueError):
-        FiniteGroupTower(
-            levels=(AbelianGroupStructure((2,)), AbelianGroupStructure((4,))),
-            inclusions=(((1,),),),  # an order-2 generator cannot map to order 4
-        )
-    with pytest.raises(ValueError):
-        FiniteGroupTower(
-            levels=(AbelianGroupStructure((2,)), AbelianGroupStructure((4,))),
-            inclusions=(),
-        )

@@ -1,4 +1,4 @@
-"""The package stands alone: no runtime dependencies and bounded caches."""
+"""The package stands alone: no runtime dependencies, bounded caches, pinned public names."""
 
 import importlib
 import os
@@ -48,3 +48,32 @@ def test_every_cache_has_a_size_limit():
     }, caches
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert not unbounded
+
+
+PUBLIC_NAMES = {
+    "AbelianGroupStructure", "BinaryQuadraticForm", "ContinuedFraction", "CurveDataError",
+    "CurveRecord", "DEFAULT_MAX_DISC", "DependentGeneratorsError", "DiscriminantBoundError",
+    "FieldMismatchError", "InvariantError", "KTheoryDescriptor", "ParseError", "Prediction",
+    "PseudoLattice", "QdeError", "QuadraticInteger", "QuadraticIrrational", "QuadraticOrder",
+    "RationalValueError", "ValidationReport", "cf_expand", "cf_value", "class_group_structure",
+    "class_number_maximal", "class_number_order", "companion_tori", "compose",
+    "crossed_product_k0", "endomorphism_ring", "fundamental_unit", "gl2z_equivalent",
+    "kronecker", "normalize_pseudolattice", "parse_curves", "parse_theta", "predict",
+    "reduce_cycle", "sha_doubling", "squarefree_decompose", "unit_index", "validate",
+}
+
+
+def test_public_names_are_pinned_and_defined():
+    # adding or removing a public name must change this set and be listed in CHANGES.md
+    assert len(qde.__all__) == len(set(qde.__all__))
+    assert set(qde.__all__) == PUBLIC_NAMES
+    modules = [qde] + [
+        importlib.import_module(f"qde.{info.name}") for info in pkgutil.iter_modules(qde.__path__)
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not missing

@@ -284,6 +284,8 @@ def test_continued_fraction_validation():
     [
         ([2.5], [1.9, 3]),  # int() used to truncate these to [2] and [1, 3]
         (["3"], [True]),  # int() used to parse "3"
+        ((), (True, 2)),  # operator.index used to read True as 1
+        ((False,), (2,)),
     ],
 )
 def test_continued_fraction_rejects_non_integer_quotients(preperiod, period):
