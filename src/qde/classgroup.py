@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 from . import quadratic
 from .errors import DiscriminantBoundError, InvariantError
@@ -57,11 +57,7 @@ class BinaryQuadraticForm:
     c: int
 
     def __post_init__(self):
-        d = self.discriminant
-        if d <= 0:
-            raise ValueError(f"discriminant must be positive, got {d}")
-        if isqrt(d) ** 2 == d:
-            raise ValueError(f"discriminant {d} is a perfect square")
+        _check_disc(self.discriminant)  # b^2 - 4ac is always 0 or 1 mod 4
 
     @property
     def discriminant(self) -> int:
@@ -110,18 +106,11 @@ class AbelianGroupStructure:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def direct_sum(self, other: "AbelianGroupStructure") -> "AbelianGroupStructure":
-        """Invariant factors of the direct sum, re-merged into a chain."""
-        primary: dict[int, list[int]] = {}
-        for d in self.invariant_factors + other.invariant_factors:
-            for p, e in quadratic._factorize(d).items():
-                primary.setdefault(p, []).append(e)
-        return _chain_from_primary(primary)
+        """The direct sum, its invariant factors merged by _chain with no factoring."""
+        return _chain(self.invariant_factors + other.invariant_factors)
 
     def __str__(self) -> str:
         if not self.invariant_factors:
@@ -129,18 +118,18 @@ class AbelianGroupStructure:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-def _chain_from_primary(primary: dict[int, list[int]]) -> AbelianGroupStructure:
-    """Combine prime-power exponent lists into a divisibility chain."""
-    width = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, exps in primary.items():
-            exps = sorted(exps, reverse=True)
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    return AbelianGroupStructure(tuple(sorted(factors)))
+def _chain(orders: list[int] | tuple[int, ...]) -> AbelianGroupStructure:
+    """The product of cyclic groups of the given orders, as d1 | d2 | ... without 1s.
+
+    Each pair (x, y), x the earlier entry, becomes (gcd(x, y), lcm(x, y)), which
+    keeps the Smith normal form (Cohen, A Course in Computational Algebraic Number
+    Theory, section 2.4.4); after its pairs, entry i divides every later one.
+    """
+    d = list(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return AbelianGroupStructure(tuple(x for x in d if x > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +562,16 @@ def _element_power(data: _ClassData, x: _Form, e: int) -> _Form:
 
 
 def _invariant_factors(data: _ClassData) -> AbelianGroupStructure:
+    """Invariant factors from the p-adic valuations v_k of #{x : x**(p**k) = 1}.
+
+    v_k - v_(k-1) counts the cyclic p-parts of order >= p^k, so the i-th
+    largest, i < v_1, has order p^#{k : v_k - v_(k-1) > i}.
+    """
     elements = data.classes
     n = len(elements)
-    if n == 1:
-        return AbelianGroupStructure(())
-    primary: dict[int, list[int]] = {}
+    orders: list[int] = []
     for p in quadratic._factorize(n):
-        # count solutions of x**(p**k) = identity; the p-adic valuations of the
-        # counts give the conjugate of the exponent partition.  x**(p**k) comes
-        # from x**(p**(k-1)) by one lookup in the table of p-th powers.
+        # x**(p**k) is one lookup from x**(p**(k-1)) in the table of p-th powers
         power = {x: _element_power(data, x, p) for x in elements}
         current = elements
         valuations = [0]
@@ -598,16 +588,9 @@ def _invariant_factors(data: _ClassData) -> AbelianGroupStructure:
             if v == valuations[-1]:
                 break
             valuations.append(v)
-        exps = []
-        for k in range(1, len(valuations)):
-            parts_ge_k = valuations[k] - valuations[k - 1]
-            while len(exps) < parts_ge_k:
-                exps.append(0)
-            for i in range(parts_ge_k):
-                exps[i] = k
-        if exps:
-            primary[p] = exps
-    structure = _chain_from_primary(primary)
+        steps = [b - a for a, b in zip(valuations, valuations[1:])]
+        orders += [p ** sum(s > i for s in steps) for i in range(max(steps, default=0))]
+    structure = _chain(orders)
     if structure.order != n:
         raise InvariantError(
             f"reconstructed group order {structure.order} does not match element count {n}"

@@ -8,7 +8,7 @@ from itertools import combinations
 from math import isqrt, lcm
 
 from .errors import DependentGeneratorsError, FieldMismatchError, InvariantError
-from .quadratic import QuadraticIrrational, _field_discriminant, _is_squarefree
+from .quadratic import QuadraticIrrational, _check_int, _check_radicand, _field_discriminant
 
 __all__ = [
     "QuadraticOrder",
@@ -29,8 +29,8 @@ class QuadraticOrder:
     f: int
 
     def __post_init__(self):
-        if self.D <= 1 or not _is_squarefree(self.D):
-            raise ValueError(f"D must be squarefree and > 1, got {self.D}")
+        _check_radicand(self.D)
+        _check_int("conductor", self.f)
         if self.f < 1:
             raise ValueError(f"conductor must be >= 1, got {self.f}")
 

@@ -125,6 +125,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
     Cached, so the constructor checks of values in one field factor D once.
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     s = r = 1
@@ -135,8 +136,17 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, r
 
 
-def _is_squarefree(n: int) -> bool:
-    return n >= 1 and squarefree_decompose(n)[0] == 1
+def _check_int(name: str, n: object) -> None:
+    """Refuse anything but an int; a bool is not taken for one."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{name} must be an int, got {n!r}")
+
+
+def _check_radicand(D: object) -> None:
+    """Refuse any radicand D but a squarefree int > 1."""
+    _check_int("D", D)
+    if D <= 1 or squarefree_decompose(D)[0] != 1:
+        raise ValueError(f"D must be squarefree and > 1, got {D}")
 
 
 def _field_discriminant(D: int) -> int:
@@ -159,8 +169,7 @@ class QuadraticIrrational:
     D: int
 
     def __post_init__(self):
-        if self.D <= 1 or not _is_squarefree(self.D):
-            raise ValueError(f"D must be squarefree and > 1, got {self.D}")
+        _check_radicand(self.D)
         if self.c <= 0:
             raise ValueError(f"c must be positive, got {self.c}")
         if self.b == 0:
@@ -304,8 +313,7 @@ class QuadraticInteger:
     D: int
 
     def __post_init__(self):
-        if self.D <= 1 or not _is_squarefree(self.D):
-            raise ValueError(f"D must be squarefree and > 1, got {self.D}")
+        _check_radicand(self.D)
 
     @property
     def omega_trace(self) -> int:
@@ -514,8 +522,7 @@ def fundamental_unit(D: int) -> tuple[QuadraticInteger, int]:
     is the one at the first step where Q returns to Q_0, the end of the
     period; it is built once and its norm and size are checked exactly.
     """
-    if D <= 1 or not _is_squarefree(D):
-        raise ValueError(f"D must be squarefree and > 1, got {D}")
+    _check_radicand(D)
     t = 1 if D % 4 == 1 else 0
     Q0 = 1 + t
     # log(epsilon) < sqrt(d)*(log(d)/2 + 1) for the field discriminant d (Hua)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, product
 from math import isqrt
@@ -6,6 +7,7 @@ import pytest
 
 from oracles import (
     cf_expand_reference,
+    class_number_by_dirichlet,
     conductor_formula_reference,
     merge_chains_reference,
     reduced_forms_reference,
@@ -380,6 +382,27 @@ def test_class_number_maximal_against_gl2_orbit_count():
         assert class_number_maximal(D) == len(orbits)
 
 
+def test_class_number_maximal_matches_dirichlets_formula():
+    # an analytic witness that never touches reduced forms: 607 fields, and
+    # each float value lies within 1e-13 of the exact class number
+    for D in squarefree_up_to(1000):
+        h = class_number_by_dirichlet(D)
+        assert abs(h - class_number_maximal(D)) < 1e-9, (D, h)
+
+
+def test_dirichlets_formula_refuses_a_lost_class(monkeypatch):
+    # D = 79 has h = 3; class data that lost one of its classes keeps the
+    # cycle parity, so the N(epsilon) cross-check lets h = 2 through
+    import qde.classgroup as classgroup
+
+    real = _class_data(316)
+    short = dataclasses.replace(real, classes=real.classes[:-1])
+    monkeypatch.setattr(classgroup, "_class_data", lambda disc: short)
+    assert class_number_maximal(79) == 2
+    assert abs(class_number_by_dirichlet(79) - 2) > 0.5
+    assert abs(class_number_by_dirichlet(79) - 3) < 1e-9
+
+
 def test_class_number_is_the_cycle_count_and_parity_matches_the_unit_norm():
     # odd state cycles (narrow = wide) exactly when N(epsilon) = -1
     for D in squarefree_up_to(5000):
@@ -473,12 +496,19 @@ def test_class_group_structure_certified_by_solution_counts():
 
 
 def test_invariant_factors_of_a_noncyclic_two_part():
-    # disc 1596 and 1785: Z/2 x Z/4, a p-part of rank 2 and exponent p^2, so
-    # the p-th power table is iterated past its first step
-    for D in (399, 1785):
-        order = QuadraticOrder(D, 1)
+    # p-parts of rank 2: disc 1596 and 1785 give Z/2 x Z/4, of exponent p^2,
+    # so the p-th power table is iterated past its first step; disc 32009,
+    # 22356 (D = 69, f = 18) and 31425 (D = 1257, f = 5) have the 3-part Z/3 x Z/3
+    for D, f, factors, cyclic in [
+        (399, 1, (2, 4), (8,)),
+        (1785, 1, (2, 4), (8,)),
+        (32009, 1, (3, 3), (9,)),
+        (69, 18, (3, 3), (9,)),
+        (1257, 5, (3, 6), (18,)),
+    ]:
+        order = QuadraticOrder(D, f)
         structure = class_group_structure(order)
-        assert structure.invariant_factors == (2, 4)
+        assert structure.invariant_factors == factors
         data = _class_data(order.discriminant)
 
         def power(x, e):
@@ -487,8 +517,8 @@ def test_invariant_factors_of_a_noncyclic_two_part():
                 result = data.mul(result, x)
             return result
 
-        assert solution_counts_certify(data.classes, power, data.identity, (2, 4))
-        assert not solution_counts_certify(data.classes, power, data.identity, (8,))
+        assert solution_counts_certify(data.classes, power, data.identity, factors)
+        assert not solution_counts_certify(data.classes, power, data.identity, cyclic)
 
 
 def test_element_power_matches_repeated_multiplication():
@@ -574,10 +604,21 @@ def test_abelian_group_rejects_non_integer_factors():
         AbelianGroupStructure((2.5, "4"))
 
 
+def _random_chain(rng):
+    """A divisibility chain of at most four factors, each below 200 times the last."""
+    chain, d = [], 1
+    for _ in range(rng.randrange(5)):
+        d *= rng.randrange(1, 200)
+        if d > 1:
+            chain.append(d)
+    return tuple(chain)
+
+
 def test_direct_sum_matches_merge_oracle(rng):
     chains = [(), (2,), (3,), (2, 2), (2, 4), (6,), (2, 6), (12,), (2, 2, 4)]
-    for c1 in chains:
-        for c2 in chains:
-            merged = AbelianGroupStructure(c1).direct_sum(AbelianGroupStructure(c2))
-            assert merged.invariant_factors == merge_chains_reference(c1, c2)
-            assert merged.order == AbelianGroupStructure(c1).order * AbelianGroupStructure(c2).order
+    pairs = [(c1, c2) for c1 in chains for c2 in chains]
+    pairs += [(_random_chain(rng), _random_chain(rng)) for _ in range(300)]
+    for c1, c2 in pairs:
+        merged = AbelianGroupStructure(c1).direct_sum(AbelianGroupStructure(c2))
+        assert merged.invariant_factors == merge_chains_reference(c1, c2), (c1, c2)
+        assert merged.order == AbelianGroupStructure(c1).order * AbelianGroupStructure(c2).order

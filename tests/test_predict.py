@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from oracles import merge_chains_reference, order_parameters
@@ -38,6 +40,16 @@ def test_class_number_one_gives_trivial_sha():
 def test_sha_doubling(chain, doubled):
     assert merge_chains_reference(chain, chain) == doubled  # oracle first
     assert sha_doubling(AbelianGroupStructure(chain)).invariant_factors == doubled
+
+
+def test_sha_doubling_of_large_factors_factors_nothing():
+    # n has two prime factors near 10^12, which Pollard rho took about 2 s to
+    # split when the direct sum was merged prime by prime
+    n = 1000000000039 * 3000000000013
+    start = time.perf_counter()
+    doubled = sha_doubling(AbelianGroupStructure((2, 2 * n)))
+    assert time.perf_counter() - start < 0.1
+    assert doubled.invariant_factors == (2, 2, 2 * n, 2 * n)
 
 
 def test_sha_doubling_squares_the_order(rng):

@@ -18,6 +18,7 @@ from oracles import (
     unit_by_norm_scan,
 )
 from qde.errors import FieldMismatchError, ParseError, RationalValueError
+from qde.lattice import QuadraticOrder
 from qde.quadratic import (
     _factorize,
     _is_probable_prime,
@@ -124,6 +125,32 @@ def test_canonical_rejects_noncanonical_fields():
         QuadraticIrrational(1, 1, 2, 8)  # not squarefree
     with pytest.raises(RationalValueError):
         QuadraticIrrational(1, 0, 2, 5)  # rational
+
+
+@pytest.mark.parametrize(
+    "build,args,error,text",
+    [
+        # the float and bool cases used to be accepted and fail later inside
+        # isqrt, and squarefree_decompose(5.5) returned (1.0, 5.5)
+        (QuadraticOrder, (5.5, 1), TypeError, "D must be an int, got 5.5"),
+        (QuadraticOrder, (5, 2.0), TypeError, "conductor must be an int, got 2.0"),
+        (QuadraticOrder, (5, True), TypeError, "conductor must be an int, got True"),
+        (QuadraticIrrational, (1, 1, 2, 5.0), TypeError, "D must be an int, got 5.0"),
+        (QuadraticIrrational, (1, 1, 2, True), TypeError, "D must be an int, got True"),
+        (QuadraticInteger, (1, 1, 2.0), TypeError, "D must be an int, got 2.0"),
+        (fundamental_unit, ("5",), TypeError, "D must be an int, got '5'"),
+        (squarefree_decompose, (5.5,), TypeError, "n must be an int, got 5.5"),
+        (squarefree_decompose, (True,), TypeError, "n must be an int, got True"),
+        (QuadraticOrder, (8, 1), ValueError, "D must be squarefree and > 1, got 8"),
+        (QuadraticIrrational, (1, 1, 2, 1), ValueError, "D must be squarefree and > 1, got 1"),
+        (QuadraticInteger, (1, 1, -7), ValueError, "D must be squarefree and > 1, got -7"),
+        (fundamental_unit, (12,), ValueError, "D must be squarefree and > 1, got 12"),
+    ],
+)
+def test_one_radicand_check_takes_only_ints(build, args, error, text):
+    with pytest.raises(error) as info:
+        build(*args)
+    assert str(info.value) == text
 
 
 @given(
