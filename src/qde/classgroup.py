@@ -71,10 +71,6 @@ class BinaryQuadraticForm:
     def is_primitive(self) -> bool:
         return self.content == 1
 
-    @property
-    def is_reduced(self) -> bool:
-        return _is_reduced_state(self.b, 2 * abs(self.a), isqrt(self.discriminant))
-
     def inverse(self) -> "BinaryQuadraticForm":
         return BinaryQuadraticForm(self.a, -self.b, self.c)
 
@@ -491,10 +487,10 @@ def class_number_maximal(D: int) -> int:
 
     Counts the state cycles of the field discriminant.  The norm of the
     fundamental unit is a cross-check: it is -1 exactly when the cycles are
-    odd (narrow = wide).
+    odd (narrow = wide).  The unit search checks D before class data is built.
     """
-    data = _class_data(quadratic._field_discriminant(D))
     _, norm = fundamental_unit(D)
+    data = _class_data(quadratic._field_discriminant(D))
     if data.odd != (norm == -1):
         raise InvariantError(
             f"state cycles are {'odd' if data.odd else 'even'} although "
@@ -598,11 +594,12 @@ def _invariant_factors(data: _ClassData) -> AbelianGroupStructure:
     return structure
 
 
-def _check_bound(order: QuadraticOrder, max_disc: int | None) -> None:
-    """Refuse an order above the desk-scale bound, before any class data is built."""
+def _check_bound(D: int, f: int, max_disc: int | None) -> None:
+    """Refuse Z + f*O_k of Q(sqrt(D)) above the desk-scale bound, before D is factored."""
     bound = DEFAULT_MAX_DISC if max_disc is None else max_disc
-    if order.discriminant > bound:
-        raise DiscriminantBoundError(order.discriminant, bound)
+    disc = f * f * quadratic._field_discriminant(D)
+    if disc > bound:
+        raise DiscriminantBoundError(disc, bound)
 
 
 def class_group_structure(
@@ -615,7 +612,7 @@ def class_group_structure(
     Bounded by a desk-scale discriminant ceiling (DEFAULT_MAX_DISC unless
     overridden).
     """
-    _check_bound(order, max_disc)
+    _check_bound(order.D, order.f, max_disc)
     structure = _invariant_factors(_class_data(order.discriminant))
     expected = class_number_order(order)
     if structure.order != expected:

@@ -33,8 +33,11 @@ __all__ = ["main"]
 
 def _resolve_order(args) -> QuadraticOrder:
     if args.theta is not None:
-        return endomorphism_ring(parse_theta(args.theta))
+        order = endomorphism_ring(parse_theta(args.theta))
+        _check_bound(order.D, order.f, _max_disc(args))
+        return order
     if args.D is not None:
+        _check_bound(args.D, args.f, _max_disc(args))  # before D is factored
         return QuadraticOrder(args.D, args.f)
     raise UsageError("either --theta or --D (with optional --f) is required")
 
@@ -108,7 +111,6 @@ def _cmd_classgroup(args):
 
 def _cmd_companions(args):
     order = _resolve_order(args)
-    _check_bound(order, _max_disc(args))
     exprs = [str(t) for t in companion_tori(order)]
     return (
         {"D": order.D, "f": order.f, "count": len(exprs), "companions": exprs},

@@ -150,7 +150,10 @@ def _check_radicand(D: object) -> None:
 
 
 def _field_discriminant(D: int) -> int:
-    """Discriminant d_K of Q(sqrt(D)) for squarefree D > 1."""
+    """Discriminant d_K of Q(sqrt(D)) for squarefree D > 1.
+
+    The only test of D mod 4: omega = (t + sqrt(d_K))/2 with t = d_K & 1.
+    """
     return D if D % 4 == 1 else 4 * D
 
 
@@ -289,14 +292,6 @@ class ContinuedFraction:
                 "preperiod is not minimal: its last quotient can be rotated into the period"
             )
 
-    def quotients(self, n: int):
-        """Yield the first n partial quotients of the infinite expansion."""
-        for i in range(n):
-            if i < len(self.preperiod):
-                yield self.preperiod[i]
-            else:
-                yield self.period[(i - len(self.preperiod)) % len(self.period)]
-
     def __str__(self) -> str:
         return f"preperiod={list(self.preperiod)} period={list(self.period)}"
 
@@ -317,20 +312,17 @@ class QuadraticInteger:
 
     @property
     def omega_trace(self) -> int:
-        """Trace of omega: 1 for D = 1 (mod 4), else 0."""
-        return 1 if self.D % 4 == 1 else 0
+        """Trace t of omega: 1 for D = 1 (mod 4), else 0."""
+        return _field_discriminant(self.D) & 1
 
     @property
     def omega_norm(self) -> int:
-        """Norm of omega: (1 - D)/4 for D = 1 (mod 4), else -D."""
-        return (1 - self.D) // 4 if self.D % 4 == 1 else -self.D
+        """Norm of omega, (t - d_K)/4: (1 - D)/4 for D = 1 (mod 4), else -D."""
+        return (self.omega_trace - _field_discriminant(self.D)) // 4
 
     def norm(self) -> int:
         t, n = self.omega_trace, self.omega_norm
         return self.x * self.x + t * self.x * self.y + n * self.y * self.y
-
-    def trace(self) -> int:
-        return 2 * self.x + self.omega_trace * self.y
 
     def __mul__(self, other: "QuadraticInteger") -> "QuadraticInteger":
         if self.D != other.D:
@@ -355,38 +347,20 @@ class QuadraticInteger:
 
     def to_irrational(self) -> QuadraticIrrational:
         """The value x + y*omega as a QuadraticIrrational (requires y != 0)."""
-        if self.D % 4 == 1:
-            return QuadraticIrrational.canonical(2 * self.x + self.y, self.y, 2, self.D)
-        return QuadraticIrrational.canonical(self.x, self.y, 1, self.D)
+        t = self.omega_trace
+        return QuadraticIrrational.canonical((1 + t) * self.x + t * self.y, self.y, 1 + t, self.D)
 
     def exceeds_one(self) -> bool:
         """Exact test for x + y*omega > 1."""
-        # reduce to the sign of p + q*sqrt(D)
-        if self.D % 4 == 1:
-            p, q = 2 * (self.x - 1) + self.y, self.y
-        else:
-            p, q = self.x - 1, self.y
-        return _radical_sign(p, q, self.D) > 0
+        # (1 + t)*(x + y*omega - 1) = p + q*sqrt(D), and u -> u*|u| keeps signs
+        # and order, so p + q*sqrt(D) > 0 exactly when p*|p| + q*|q|*D > 0
+        t = self.omega_trace
+        p, q = (1 + t) * (self.x - 1) + t * self.y, self.y
+        return p * abs(p) + q * abs(q) * self.D > 0
 
     def __str__(self) -> str:
-        omega = f"(1+sqrt({self.D}))/2" if self.D % 4 == 1 else f"sqrt({self.D})"
+        omega = f"(1+sqrt({self.D}))/2" if self.omega_trace else f"sqrt({self.D})"
         return f"{self.x} + {self.y}*{omega}"
-
-
-def _radical_sign(p: int, q: int, D: int) -> int:
-    """Sign of p + q*sqrt(D), computed exactly."""
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return 1 if q > 0 else -1
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    t = p * p - q * q * D
-    if p > 0:  # q < 0: compare p against |q|*sqrt(D)
-        return (t > 0) - (t < 0)
-    return (t < 0) - (t > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +497,11 @@ def fundamental_unit(D: int) -> tuple[QuadraticInteger, int]:
     period; it is built once and its norm and size are checked exactly.
     """
     _check_radicand(D)
-    t = 1 if D % 4 == 1 else 0
+    d = _field_discriminant(D)
+    t = d & 1
     Q0 = 1 + t
     # log(epsilon) < sqrt(d)*(log(d)/2 + 1) for the field discriminant d (Hua)
     # and q_k >= Fibonacci(k + 1), so the period is shorter than this limit
-    d = _field_discriminant(D)
     limit = (isqrt(d) + 1) * (d.bit_length() + 3)
     p, p1, q, q1 = 1, 0, 0, 1
     for a, _, Q in islice(_pq_steps(t, Q0, D), limit):

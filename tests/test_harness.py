@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -496,3 +497,27 @@ def test_cli_companions_checks_the_bound_first(capsys, monkeypatch):
     monkeypatch.delenv("QDE_MAX_DISC")
     assert main(["companions", "--D", "79"]) == 0
     assert capsys.readouterr().out.count("companion") == 3
+
+
+def test_cli_refuses_a_large_D_before_factoring_it():
+    # D has two prime factors near 10^12: factoring it (Pollard rho, in the
+    # radicand check of QuadraticOrder) took 0.9-1.3 s before the refusal
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for command in ("classgroup", "companions"):
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "qde.cli", command,
+             "--D", "3000000000130000000000507", "--max-disc", "1000"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == (
+            "error: discriminant 12000000000520000000002028 exceeds the desk-scale "
+            "bound 1000; raise the bound to proceed\n"
+        )
+        assert elapsed < 0.6, (command, elapsed)

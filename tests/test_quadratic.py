@@ -17,6 +17,7 @@ from oracles import (
     squarefree_up_to,
     unit_by_norm_scan,
 )
+from qde.classgroup import _class_data, class_number_maximal
 from qde.errors import FieldMismatchError, ParseError, RationalValueError
 from qde.lattice import QuadraticOrder
 from qde.quadratic import (
@@ -145,12 +146,20 @@ def test_canonical_rejects_noncanonical_fields():
         (QuadraticIrrational, (1, 1, 2, 1), ValueError, "D must be squarefree and > 1, got 1"),
         (QuadraticInteger, (1, 1, -7), ValueError, "D must be squarefree and > 1, got -7"),
         (fundamental_unit, (12,), ValueError, "D must be squarefree and > 1, got 12"),
+        # class_number_maximal used to build class data first: a perfect-square
+        # or non-integral discriminant error, or the class data of disc 32 for 8
+        (class_number_maximal, (True,), TypeError, "D must be an int, got True"),
+        (class_number_maximal, (5.5,), TypeError, "D must be an int, got 5.5"),
+        (class_number_maximal, (4,), ValueError, "D must be squarefree and > 1, got 4"),
+        (class_number_maximal, (8,), ValueError, "D must be squarefree and > 1, got 8"),
     ],
 )
 def test_one_radicand_check_takes_only_ints(build, args, error, text):
+    before = _class_data.cache_info()
     with pytest.raises(error) as info:
         build(*args)
     assert str(info.value) == text
+    assert _class_data.cache_info() == before
 
 
 @given(
@@ -361,6 +370,44 @@ def test_quadratic_integer_arithmetic():
     assert QuadraticInteger(3, 2, 2).norm() == 1
     with pytest.raises(FieldMismatchError):
         QuadraticInteger(1, 1, 2) * QuadraticInteger(1, 1, 3)
+
+
+def _two_branch(D: int) -> int:
+    """omega's trace, from D mod 4 rather than from d_K."""
+    return 1 if D % 4 == 1 else 0
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 13])
+def test_exceeds_one_matches_the_sign_oracle(D):
+    # x + y*omega - 1 is p + q*sqrt(D) over 1 + t, with q = y
+    t = _two_branch(D)
+    for x, y in product(range(-30, 31), repeat=2):
+        expected = sign_radical(y, (2 * (x - 1) + y) if t else (x - 1), D) > 0
+        assert QuadraticInteger(x, y, D).exceeds_one() == expected, (x, y)
+
+
+def test_fundamental_unit_exceeds_one_and_its_conjugate_and_negative_do_not():
+    for D in squarefree_up_to(200):
+        unit, _ = fundamental_unit(D)
+        x, y, t = unit.x, unit.y, unit.omega_trace
+        assert unit.exceeds_one(), D
+        # conj(omega) = t - omega, and |conj(epsilon)| = 1/epsilon < 1
+        assert not QuadraticInteger(x + t * y, -y, D).exceeds_one(), D
+        assert not QuadraticInteger(-x, -y, D).exceeds_one(), D
+
+
+def test_omega_and_to_irrational_match_the_two_branch_formulas():
+    for D in squarefree_up_to(100):
+        omega = QuadraticInteger(0, 1, D)
+        t, n = omega.omega_trace, omega.omega_norm
+        assert (t, n) == ((1, (1 - D) // 4) if _two_branch(D) else (0, -D)), D
+        assert omega * omega == QuadraticInteger(-n, t, D), D  # omega^2 = t*omega - n
+        for x, y in product(range(-3, 4), (-2, -1, 1, 3)):
+            value = QuadraticInteger(x, y, D).to_irrational()
+            if _two_branch(D):
+                assert value == QuadraticIrrational.canonical(2 * x + y, y, 2, D)
+            else:
+                assert value == QuadraticIrrational.canonical(x, y, 1, D)
 
 
 # ---------------------------------------------------------------------------
