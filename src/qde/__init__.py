@@ -2,10 +2,10 @@
 
 The package computes, entirely in exact integer arithmetic: canonical forms
 and periodic continued fractions of real quadratic irrationals, fundamental
-units, endomorphism orders of pseudo-lattices Z + theta*Z, class numbers and
-class groups of real quadratic orders, K0 descriptors of the associated
-crossed products, rank and Shafarevich-Tate predictions, and a validation
-harness that checks curve data against |Sha| = (1 + rank)**2.
+units, endomorphism orders of Z + theta*Z, class numbers and class groups of
+real quadratic orders, K0 descriptors of the associated crossed products,
+rank and Shafarevich-Tate predictions, and a validation harness that checks
+curve data against |Sha| = (1 + rank)**2.
 """
 
 from .classgroup import (
@@ -21,7 +21,6 @@ from .classgroup import (
 )
 from .errors import (
     CurveDataError,
-    DependentGeneratorsError,
     DiscriminantBoundError,
     FieldMismatchError,
     InvariantError,
@@ -31,13 +30,7 @@ from .errors import (
 )
 from .harness import CurveRecord, ValidationReport, parse_curves, validate
 from .ktheory import KTheoryDescriptor, crossed_product_k0
-from .lattice import (
-    PseudoLattice,
-    QuadraticOrder,
-    companion_tori,
-    endomorphism_ring,
-    normalize_pseudolattice,
-)
+from .lattice import QuadraticOrder, companion_tori, endomorphism_ring
 from .predict import Prediction, predict, sha_doubling
 from .quadratic import (
     ContinuedFraction,
@@ -61,14 +54,12 @@ __all__ = [
     "CurveDataError",
     "CurveRecord",
     "DEFAULT_MAX_DISC",
-    "DependentGeneratorsError",
     "DiscriminantBoundError",
     "FieldMismatchError",
     "InvariantError",
     "KTheoryDescriptor",
     "ParseError",
     "Prediction",
-    "PseudoLattice",
     "QdeError",
     "QuadraticInteger",
     "QuadraticIrrational",
@@ -87,7 +78,6 @@ __all__ = [
     "fundamental_unit",
     "gl2z_equivalent",
     "kronecker",
-    "normalize_pseudolattice",
     "parse_curves",
     "parse_theta",
     "predict",

@@ -71,9 +71,6 @@ class BinaryQuadraticForm:
     def is_primitive(self) -> bool:
         return self.content == 1
 
-    def inverse(self) -> "BinaryQuadraticForm":
-        return BinaryQuadraticForm(self.a, -self.b, self.c)
-
     def as_tuple(self) -> _Form:
         return (self.a, self.b, self.c)
 

@@ -33,13 +33,18 @@ __all__ = ["main"]
 
 def _resolve_order(args) -> QuadraticOrder:
     if args.theta is not None:
+        if args.f is not None:
+            raise UsageError("--f cannot be combined with --theta")
         order = endomorphism_ring(parse_theta(args.theta))
         _check_bound(order.D, order.f, _max_disc(args))
         return order
-    if args.D is not None:
-        _check_bound(args.D, args.f, _max_disc(args))  # before D is factored
-        return QuadraticOrder(args.D, args.f)
-    raise UsageError("either --theta or --D (with optional --f) is required")
+    if args.D is None:
+        raise UsageError("either --theta or --D (with optional --f) is required")
+    f = 1 if args.f is None else args.f
+    if f < 1:  # before the bound, which squares f
+        raise ValueError(f"conductor must be >= 1, got {f}")
+    _check_bound(args.D, f, _max_disc(args))  # before D is factored
+    return QuadraticOrder(args.D, f)
 
 
 class UsageError(Exception):
@@ -53,9 +58,9 @@ def _max_disc(args) -> int | None:
     if not env:
         return None
     try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"QDE_MAX_DISC must be an integer, got {env!r}") from None
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"QDE_MAX_DISC {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -190,18 +195,19 @@ def _build_parser() -> argparse.ArgumentParser:
         ("companions", _cmd_companions, "one quadratic irrational per ideal class"),
     ):
         p = add(name, func, help_text)
-        p.add_argument("--theta", help="derive the order from this expression")
-        p.add_argument("--D", type=int, help="squarefree radicand > 1")
-        p.add_argument("--f", type=int, default=1, help="conductor (default 1)")
-        p.add_argument("--max-disc", type=int, help="desk-scale discriminant ceiling")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--theta", help="derive the order from this expression")
+        source.add_argument("--D", type=int, help="squarefree radicand > 1")
+        p.add_argument("--f", type=int, help="conductor (default 1; not with --theta)")
+        p.add_argument("--max-disc", type=_positive_int, help="desk-scale discriminant ceiling")
 
     p = add("k0", _cmd_k0, "K0 descriptor of the crossed product for theta")
     p.add_argument("--theta", required=True)
-    p.add_argument("--max-disc", type=int)
+    p.add_argument("--max-disc", type=_positive_int)
 
     p = add("predict", _cmd_predict, "rank / Sha / K0 prediction for theta")
     p.add_argument("--theta", required=True)
-    p.add_argument("--max-disc", type=int)
+    p.add_argument("--max-disc", type=_positive_int)
 
     p = add("validate", _cmd_validate, "check curve data against |Sha| = (1+rank)^2")
     p.add_argument("--input", required=True, help="path to the data file")

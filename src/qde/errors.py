@@ -21,10 +21,6 @@ class FieldMismatchError(QdeError):
     """Operands live in different quadratic fields and cannot be compared."""
 
 
-class DependentGeneratorsError(QdeError):
-    """Generators are Z-linearly dependent; the pseudo-lattice rank would drop."""
-
-
 class DiscriminantBoundError(QdeError):
     """A discriminant exceeded the configured desk-scale bound."""
 

@@ -1,24 +1,14 @@
-"""Pseudo-lattices in a real quadratic field and their endomorphism orders."""
+"""Real quadratic orders: the endomorphism order of Z + theta*Z and its companion tori."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import isqrt, lcm
+from math import isqrt
 
-from .errors import DependentGeneratorsError, FieldMismatchError, InvariantError
+from .errors import InvariantError
 from .quadratic import QuadraticIrrational, _check_int, _check_radicand, _field_discriminant
 
-__all__ = [
-    "QuadraticOrder",
-    "PseudoLattice",
-    "endomorphism_ring",
-    "normalize_pseudolattice",
-    "companion_tori",
-]
-
-Generator = Fraction | QuadraticIrrational
+__all__ = ["QuadraticOrder", "endomorphism_ring", "companion_tori"]
 
 
 @dataclass(frozen=True)
@@ -44,104 +34,6 @@ class QuadraticOrder:
 
     def __str__(self) -> str:
         return f"Z + {self.f}*O_Q(sqrt({self.D}))" if self.f > 1 else f"O_Q(sqrt({self.D}))"
-
-
-def _coords(gens) -> tuple[list[tuple[Fraction, Fraction]], int | None]:
-    """Coordinates (u, v) of each generator u + v*sqrt(D), and the one shared D.
-
-    A generator is an int (not a bool), a Fraction or a QuadraticIrrational.
-    """
-    D = None
-    coords = []
-    for g in gens:
-        if isinstance(g, QuadraticIrrational):
-            if D is not None and g.D != D:
-                raise FieldMismatchError(f"generator in Q(sqrt({g.D})), expected Q(sqrt({D}))")
-            D = g.D
-            coords.append((Fraction(g.a, g.c), Fraction(g.b, g.c)))
-        elif isinstance(g, (int, Fraction)) and not isinstance(g, bool):
-            coords.append((Fraction(g), Fraction(0)))
-        else:
-            raise TypeError(
-                f"a generator must be an int, Fraction or QuadraticIrrational, got {g!r}"
-            )
-    return coords, D
-
-
-def _from_pair(u: Fraction, v: Fraction, D: int | None) -> Generator:
-    if v == 0:
-        return u
-    den = lcm(u.denominator, v.denominator)
-    return QuadraticIrrational.canonical(
-        int(u * den), int(v * den), den, D
-    )
-
-
-def _div_pairs(u1, v1, u2, v2, D) -> tuple[Fraction, Fraction]:
-    norm = u2 * u2 - v2 * v2 * D
-    if norm == 0:
-        raise ZeroDivisionError("division by zero field element")
-    return (u1 * u2 - v1 * v2 * D) / norm, (v1 * u2 - u1 * v2) / norm
-
-
-@dataclass(frozen=True)
-class PseudoLattice:
-    """Finitely generated subgroup of R spanned by generators in one field.
-
-    Generators are ints, Fractions or QuadraticIrrationals (anything else is
-    a TypeError), recorded in order; by convention generator 0 is 1.  The
-    recorded generators must be Z-linearly independent, which for elements of
-    a single quadratic field caps the rank at 2.
-    """
-
-    generators: tuple[Generator, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("a pseudo-lattice needs at least one generator")
-        coords, D = _coords(self.generators)
-        rank = _coord_rank(coords)
-        if rank != len(coords):
-            raise DependentGeneratorsError(
-                f"generators {self.generators} are Z-linearly dependent "
-                f"(rank {rank} < {len(coords)})"
-            )
-        object.__setattr__(self, "_D", D)
-
-    @property
-    def D(self) -> int | None:
-        """Radicand of the field the generators live in; None if all rational."""
-        return self._D
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-
-def _coord_rank(coords: list[tuple[Fraction, Fraction]]) -> int:
-    """Rank over Q of vectors in Q^2 (Z-independence equals Q-independence here)."""
-    if any(u1 * v2 != u2 * v1 for (u1, v1), (u2, v2) in combinations(coords, 2)):
-        return 2
-    return 1 if any(c != (0, 0) for c in coords) else 0
-
-
-def normalize_pseudolattice(gens) -> PseudoLattice:
-    """Scale the generators so the leading one becomes 1.
-
-    Every generator is divided exactly by the leading generator, which makes
-    the result invariant under scaling the whole family by any nonzero field
-    element and idempotent on already-normalized input.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("no generators given")
-    coords, D = _coords(gens)
-    u0, v0 = coords[0]
-    if (u0, v0) == (0, 0):
-        raise ZeroDivisionError("leading generator is zero, cannot scale by it")
-    D_eff = D if D is not None else 2  # D unused when every v is zero
-    scaled = [_div_pairs(u, v, u0, v0, D_eff) for u, v in coords]
-    return PseudoLattice(tuple(_from_pair(u, v, D) for u, v in scaled))
 
 
 def endomorphism_ring(theta: QuadraticIrrational) -> QuadraticOrder:

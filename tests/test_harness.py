@@ -445,6 +445,44 @@ def test_cli_max_disc_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("QDE_MAX_DISC", "100")
     assert main(["classgroup", "--D", "10"]) == 0
     capsys.readouterr()
+    # a bound below 1 is a usage error, from the flag or the environment;
+    # it used to exit 1 with "exceeds the desk-scale bound -1"
+    for argv in (["classgroup", "--D", "10", "--max-disc", "0"],
+                 ["companions", "--D", "10", "--max-disc", "-1"],
+                 ["predict", "--theta", "sqrt(10)", "--max-disc", "0"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "--max-disc: must be an integer >= 1" in capsys.readouterr().err
+    for env in ("0", "-1"):
+        monkeypatch.setenv("QDE_MAX_DISC", env)
+        with pytest.raises(SystemExit) as info:
+            main(["classgroup", "--D", "10"])
+        assert info.value.code == 2
+        assert f"QDE_MAX_DISC must be an integer >= 1, got '{env}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classgroup", "companions"])
+@pytest.mark.parametrize("f", ["0", "-2000"])
+@pytest.mark.parametrize("bound", [[], ["--max-disc", "1000000000"]])
+def test_cli_refuses_a_conductor_below_one_before_the_bound(capsys, command, f, bound):
+    # the bound squares f, so f = -2000 used to be refused as disc 20000000
+    assert main([command, "--D", "5", "--f", f, *bound]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: conductor must be >= 1, got {f}\n"
+
+
+@pytest.mark.parametrize("command", ["classgroup", "companions"])
+@pytest.mark.parametrize("extra", [["--D", "7"], ["--f", "3"]])
+def test_cli_theta_with_D_or_f_is_a_usage_error(capsys, command, extra):
+    # each used to exit 0 and drop the extra flag silently
+    with pytest.raises(SystemExit) as info:
+        main([command, "--theta", "sqrt(5)", *extra])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert extra[0] in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from sympy import Symbol, minimal_polynomial, sqrt
 
 from oracles import order_parameters
 from qde.classgroup import class_number_order
-from qde.errors import DependentGeneratorsError, FieldMismatchError
-from qde.lattice import (
-    PseudoLattice,
-    QuadraticOrder,
-    companion_tori,
-    endomorphism_ring,
-    normalize_pseudolattice,
-)
+from qde.lattice import QuadraticOrder, companion_tori, endomorphism_ring
 from qde.quadratic import QuadraticIrrational, gl2z_equivalent, parse_theta
 from conftest import random_theta
 
@@ -65,85 +56,6 @@ def test_endomorphism_ring_matches_sympy_minpoly(rng):
         order = endomorphism_ring(theta)
         assert order.discriminant == theta.discriminant()
         assert order.D == theta.D
-
-
-# ---------------------------------------------------------------------------
-# pseudo-lattices
-# ---------------------------------------------------------------------------
-
-
-def test_normalize_divides_by_leading_generator():
-    theta = parse_theta("(1+sqrt(5))/2")
-    theta_sq = theta.mobius(1, 1, 0, 1)  # theta^2 = theta + 1
-    assert normalize_pseudolattice([theta, theta_sq]).generators == (
-        Fraction(1),
-        theta,
-    )
-    two_theta = theta.mobius(2, 0, 0, 1)
-    assert normalize_pseudolattice([2, two_theta]).generators == (Fraction(1), theta)
-
-
-def test_normalize_rejects_dependence():
-    theta = parse_theta("(1+sqrt(5))/2")
-    one_plus = theta.mobius(1, 1, 0, 1)
-    with pytest.raises(DependentGeneratorsError):
-        normalize_pseudolattice([1, theta, one_plus])  # 1 + theta in Z + theta*Z
-
-
-def test_normalize_rejects_zero_leading_generator():
-    with pytest.raises(ZeroDivisionError):
-        normalize_pseudolattice([0, parse_theta("sqrt(2)")])
-
-
-def test_normalize_idempotent_and_scale_invariant(rng):
-    for _ in range(30):
-        theta = random_theta(rng)
-        lattice = normalize_pseudolattice([1, theta])
-        assert normalize_pseudolattice(lattice.generators) == lattice
-        raw = random_theta(rng, d_limit=50)
-        scale = QuadraticIrrational.canonical(raw.a, raw.b, raw.c, theta.D)
-        scaled = [scale, _field_mul(scale, theta)]
-        assert normalize_pseudolattice(scaled) == lattice
-
-
-def _field_mul(x: QuadraticIrrational, y: QuadraticIrrational):
-    # (x.a + x.b s)(y.a + y.b s) / (x.c y.c) with s = sqrt(D); may be rational
-    num_rat = x.a * y.a + x.b * y.b * x.D
-    num_rad = x.a * y.b + x.b * y.a
-    if num_rad == 0:
-        return Fraction(num_rat, x.c * y.c)
-    return QuadraticIrrational.canonical(num_rat, num_rad, x.c * y.c, x.D)
-
-
-def test_pseudolattice_validation():
-    theta = parse_theta("sqrt(7)")
-    assert PseudoLattice((Fraction(1), theta)).rank == 2
-    assert PseudoLattice((Fraction(1),)).D is None
-    with pytest.raises(DependentGeneratorsError):
-        PseudoLattice((Fraction(1), Fraction(2)))
-    with pytest.raises(DependentGeneratorsError):
-        PseudoLattice((Fraction(1), theta, theta.mobius(1, 1, 0, 1)))
-    with pytest.raises(FieldMismatchError):
-        PseudoLattice((parse_theta("sqrt(2)"), parse_theta("sqrt(3)")))
-
-
-def test_pseudolattice_rank_counts_every_pair_of_generators():
-    # the independent pair is the first and third generator
-    with pytest.raises(DependentGeneratorsError, match=r"rank 2 < 3"):
-        PseudoLattice((Fraction(1), Fraction(0), parse_theta("sqrt(2)")))
-
-
-@pytest.mark.parametrize("bad", [0.1, "3", True])
-def test_pseudolattice_generators_are_ints_fractions_or_quadratic_irrationals(bad):
-    # a float used to enter exact arithmetic through its binary expansion
-    # (b=36028797018963968 for 0.1), and a str was stored as a generator
-    theta = parse_theta("sqrt(2)")
-    with pytest.raises(TypeError):
-        normalize_pseudolattice([bad, theta])
-    with pytest.raises(TypeError):
-        PseudoLattice((bad, theta))
-    with pytest.raises(TypeError):
-        PseudoLattice((Fraction(1), bad))
 
 
 # ---------------------------------------------------------------------------

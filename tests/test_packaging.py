@@ -1,5 +1,6 @@
 """The package stands alone: no runtime dependencies, bounded caches, pinned public names."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -18,14 +19,34 @@ def test_importing_qde_and_building_the_cli_loads_no_numpy():
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-c",
-         "import qde, qde.cli, sys; qde.cli._build_parser(); print('numpy' in sys.modules)"],
+         "import qde, qde.cli, sys; qde.cli._build_parser(); "
+         "print('numpy' in sys.modules, 'fractions' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
+
+
+def test_every_import_is_used():
+    # a stand-in for a linter's unused-import check (none is a dependency)
+    unused = []
+    for path in sorted((ROOT / "src" / "qde").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused
 
 
 def test_pyproject_declares_no_runtime_dependencies():
@@ -52,14 +73,14 @@ def test_every_cache_has_a_size_limit():
 
 PUBLIC_NAMES = {
     "AbelianGroupStructure", "BinaryQuadraticForm", "ContinuedFraction", "CurveDataError",
-    "CurveRecord", "DEFAULT_MAX_DISC", "DependentGeneratorsError", "DiscriminantBoundError",
-    "FieldMismatchError", "InvariantError", "KTheoryDescriptor", "ParseError", "Prediction",
-    "PseudoLattice", "QdeError", "QuadraticInteger", "QuadraticIrrational", "QuadraticOrder",
-    "RationalValueError", "ValidationReport", "cf_expand", "cf_value", "class_group_structure",
+    "CurveRecord", "DEFAULT_MAX_DISC", "DiscriminantBoundError", "FieldMismatchError",
+    "InvariantError", "KTheoryDescriptor", "ParseError", "Prediction", "QdeError",
+    "QuadraticInteger", "QuadraticIrrational", "QuadraticOrder", "RationalValueError",
+    "ValidationReport", "cf_expand", "cf_value", "class_group_structure",
     "class_number_maximal", "class_number_order", "companion_tori", "compose",
     "crossed_product_k0", "endomorphism_ring", "fundamental_unit", "gl2z_equivalent",
-    "kronecker", "normalize_pseudolattice", "parse_curves", "parse_theta", "predict",
-    "reduce_cycle", "sha_doubling", "squarefree_decompose", "unit_index", "validate",
+    "kronecker", "parse_curves", "parse_theta", "predict", "reduce_cycle", "sha_doubling",
+    "squarefree_decompose", "unit_index", "validate",
 }
 
 
