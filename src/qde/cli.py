@@ -177,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)  # parser reports the usage errors
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
         return p
 
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
         print(json.dumps(payload, separators=(",", ":")) if args.json else text)
         return 0
     except UsageError as exc:
-        parser.error(str(exc))  # exits with status 2
+        args.parser.error(str(exc))  # the subcommand's usage; exits with status 2
         return 2
     except (QdeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

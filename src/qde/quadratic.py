@@ -271,9 +271,12 @@ class ContinuedFraction:
     def __post_init__(self):
         for name in ("preperiod", "period"):
             quotients = tuple(getattr(self, name))
-            if bool in set(map(type, quotients)):
+            types = set(map(type, quotients))
+            if bool in types:
                 raise TypeError(f"{name} quotients must be integers, not bools")
-            object.__setattr__(self, name, tuple(map(operator.index, quotients)))
+            if types != {int}:
+                quotients = tuple(map(operator.index, quotients))
+            object.__setattr__(self, name, quotients)
         if not self.period:
             raise ValueError("period must be nonempty")
         if min(self.period) < 1:
@@ -382,9 +385,13 @@ def _pq_steps(P: int, Q: int, N: int):
         else:
             a = (-P - s - 1) // (-Q)
         P = a * Q - P
-        Q, rem = divmod(N - P * P, Q)
+        Q_next, rem = divmod(N - P * P, Q)
         if rem:
-            raise InvariantError("continued-fraction state recurrence lost exactness")
+            raise InvariantError(
+                "continued-fraction state recurrence lost exactness at "
+                f"P={a * Q - P}, Q={Q}, N={N}"
+            )
+        Q = Q_next
         yield a, P, Q
 
 
@@ -400,8 +407,23 @@ def cf_expand(theta: QuadraticIrrational) -> ContinuedFraction:
     theta_n = (P_n + sqrt(N))/Q_n, N fixed.  By Galois's theorem theta_n has a
     purely periodic expansion exactly when it is reduced (theta_n > 1 and
     -1 < conj(theta_n) < 0), so the minimal preperiod ends at the first
-    reduced state and the minimal period at the first return to that state.
-    Only the quotients are stored.
+    reduced state S_0 and the minimal period k at the first return to it.
+
+    A symmetric cycle is walked only halfway.  rho(P, Q) = (P, (N - P*P)/Q)
+    sends theta to -1/conj(theta), which by Galois's theorem expands to the
+    reversed cycle: rho(S_{j+1}) = (P_{j+1}, Q_j), the state whose quotients
+    are a_j, a_{j-1}, ...  So the step S_j -> S_{j+1} is a center of the
+    cycle when Q_{j+1} = Q_j (S_{j+1} is fixed by rho: c = 2j+1) or when
+    P_{j+1} = P_j (rho swaps S_j and S_{j+1}: c = 2j), and a center c means
+    a_{c-i} = a_i for every i.  Two mirror symmetries compose to a shift by
+    their distance, and a shift of the minimal period is a multiple of k,
+    so the second center is c + k.  The walk starts one step early, at the
+    step into S_0 read off rho(S_0) = (P_0, Q_{-1}), stops at the second
+    center or at the return to S_0, whichever comes first, and mirrors the
+    quotients it walked into the rest of the period.  The mirrored
+    quotients are exact because they are quotients of the same cycle; an
+    asymmetric cycle has no center and is walked in full.  _pq_steps checks
+    every walked step for exactness.  Only the quotients are stored.
     """
     if theta.b > 0:
         P, Q = theta.a, theta.c
@@ -417,12 +439,26 @@ def cf_expand(theta: QuadraticIrrational) -> ContinuedFraction:
     while not _is_reduced_state(P, Q, s):
         a, P, Q = next(steps)
         quotients.append(a)
-    start, first = len(quotients), (P, Q)
-    while True:
-        a, P, Q = next(steps)
+    start, P0, Q0 = len(quotients), P, Q
+    # rho(S_0) = (P_0, Q_{-1}) steps with quotient a_{-1} to rho(S_{-1}) = (P_{-1}, Q_{-2})
+    Q_prev = (N - P * P) // Q
+    a, P_prev, _ = next(_pq_steps(P, Q_prev, N))
+    quotients.append(a)  # a_{-1}
+    center = -2 if P_prev == P else -1 if Q_prev == Q else None
+    for a, P1, Q1 in steps:
         quotients.append(a)
-        if (P, Q) == first:
-            return ContinuedFraction(tuple(quotients[:start]), tuple(quotients[start:]))
+        if P1 == P0 and Q1 == Q0:
+            break
+        if P1 == P or Q1 == Q:
+            j = len(quotients) - start - 2
+            c = 2 * j + (P1 != P)
+            if center is not None:
+                # a_i = a_{c-i} for j < i < k = c - center, read from a_{-1}..a_j
+                quotients += quotients[start + center + 2 : start + c - j + 1][::-1]
+                break
+            center = c
+        P, Q = P1, Q1
+    return ContinuedFraction(tuple(quotients[:start]), tuple(quotients[start + 1 :]))
 
 
 def _convergent_matrix(quotients) -> tuple[int, int, int, int]:

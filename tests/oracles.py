@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths of the package under test:
 continued fractions run on a Mobius-transform state instead of the (P, Q)
-recurrence, units come from a raw Pell-style coordinate scan or from a norm
-test at every convergent instead of the end of the period, the conductor
+recurrence, and long periods on a full walk of that recurrence without the
+half-period mirror; units come from a raw Pell-style coordinate scan or from
+a norm test at every convergent instead of the end of the period, the conductor
 formula runs in rationals, reduced forms come from a direct double loop over
 form coefficients, narrow and wide classes from the rho reduction step on
 signed forms and composition with the negated principal form, class numbers
@@ -94,6 +95,36 @@ def cf_expand_reference(theta: QuadraticIrrational) -> tuple[list[int], list[int
         state = (r // g, s // g, p2 // g, q2 // g)
         if len(states) > 10000:
             raise RuntimeError("reference expansion did not become periodic")
+
+
+def cf_expand_full_walk(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Continued fraction by walking the (P, Q) recurrence over the whole period.
+
+    The expansion without the half-period mirror: theta_n = (P_n + sqrt(N))/Q_n,
+    the preperiod ends at the first reduced state and the period at the first
+    return to it.  Linear in the period, so it checks periods far beyond the
+    reach of cf_expand_reference.
+    """
+    if theta.b > 0:
+        P, Q = theta.a, theta.c
+    else:
+        P, Q = -theta.a, -theta.c
+    N = theta.b * theta.b * theta.D
+    if (N - P * P) % Q:
+        t = abs(Q)
+        P, Q, N = P * t, Q * t, N * t * t
+    s = isqrt(N)
+    quotients = []
+    start = first = None
+    while (P, Q) != first:
+        if start is None and 0 < Q and Q - s <= P <= s and s - P < Q:
+            start, first = len(quotients), (P, Q)
+        a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
+        quotients.append(a)
+        P = a * Q - P
+        Q, rem = divmod(N - P * P, Q)
+        assert rem == 0
+    return tuple(quotients[:start]), tuple(quotients[start:])
 
 
 def smallest_unit_reference(D: int, y_cap: int):

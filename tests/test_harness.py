@@ -436,6 +436,28 @@ def test_cli_usage_errors_exit_2(capsys, monkeypatch):
     assert "QDE_MAX_DISC" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["companions", "--theta", "sqrt(5)", "--f", "3"], None,
+         "--f cannot be combined with --theta"),
+        (["companions"], None, "either --theta or --D (with optional --f) is required"),
+        (["classgroup", "--D", "10"], "abc", "QDE_MAX_DISC must be an integer >= 1"),
+    ],
+)
+def test_cli_usage_errors_print_the_subcommands_usage(capsys, monkeypatch, argv, env, message):
+    # argparse's own errors print the subcommand's usage line; the checks
+    # main makes after parsing print the same one (they printed "usage: qde")
+    if env is not None:
+        monkeypatch.setenv("QDE_MAX_DISC", env)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qde {argv[0]} [-h] [--json]")
+    assert f"qde {argv[0]}: error: {message}" in err
+
+
 def test_cli_max_disc_flag_and_env(capsys, monkeypatch):
     assert main(["classgroup", "--D", "10", "--max-disc", "30"]) == 1
     assert "30" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import time
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from sympy import continued_fraction_periodic
 
 from oracles import (
+    cf_expand_full_walk,
     cf_expand_reference,
     factorize_reference,
     gl2_matrix_search,
@@ -18,11 +20,13 @@ from oracles import (
     unit_by_norm_scan,
 )
 from qde.classgroup import _class_data, class_number_maximal
-from qde.errors import FieldMismatchError, ParseError, RationalValueError
-from qde.lattice import QuadraticOrder
+from qde.errors import FieldMismatchError, InvariantError, ParseError, RationalValueError
+from qde.lattice import QuadraticOrder, companion_tori
+from qde import quadratic
 from qde.quadratic import (
     _factorize,
     _is_probable_prime,
+    _pq_steps,
     ContinuedFraction,
     QuadraticInteger,
     QuadraticIrrational,
@@ -252,6 +256,75 @@ def test_cf_round_trip_exact(rng):
     for _ in range(200):
         theta = random_theta(rng)
         assert cf_value(cf_expand(theta)) == theta
+
+
+# ---------------------------------------------------------------------------
+# the half-period walk against the full walk
+# ---------------------------------------------------------------------------
+
+
+def test_pq_steps_exactness_error_names_the_state():
+    # 3 does not divide 7 - 0*0, so the first step cannot be exact
+    with pytest.raises(InvariantError, match=r"lost exactness at P=0, Q=3, N=7$"):
+        next(_pq_steps(0, 3, 7))
+
+
+def _assert_matches_full_walk(theta):
+    cf = cf_expand(theta)
+    assert (cf.preperiod, cf.period) == cf_expand_full_walk(theta), theta
+
+
+def test_cf_matches_full_walk_on_every_small_radicand():
+    # sqrt(N) and (1+sqrt(N))/2 start next to a center of their cycle; their
+    # conjugates -sqrt(N) and (1-sqrt(N))/2 reach the cycle after a preperiod
+    for N in range(2, 10**4):
+        if isqrt(N) ** 2 != N:
+            for a, b, c in ((0, 1, 1), (1, 1, 2), (0, -1, 1), (1, -1, 2)):
+                _assert_matches_full_walk(QuadraticIrrational.canonical(a, b, c, N))
+
+
+def test_cf_matches_full_walk_on_random_inputs(rng):
+    for _ in range(2000):
+        _assert_matches_full_walk(random_theta(rng, d_limit=10**4))
+
+
+@pytest.mark.parametrize("D", [34, 82, 130, 221, 410, 1155, 3315])
+def test_cf_matches_full_walk_on_companions(D):
+    # with 2-torsion in the class group there are ambiguous cycles besides the
+    # principal one, and a companion can enter its cycle away from a center
+    for f in (1, 2, 3):
+        for theta in companion_tori(QuadraticOrder(D, f)):
+            _assert_matches_full_walk(theta)
+
+
+@pytest.mark.parametrize(
+    "text,ambiguous",
+    [
+        ("sqrt(1000099)", True),
+        ("(1+sqrt(1000321))/2", True),
+        ("(3+sqrt(1000003))/19", False),
+    ],
+)
+def test_cf_walks_half_of_a_symmetric_period(monkeypatch, text, ambiguous):
+    steps = 0
+
+    def counting(P, Q, N):
+        nonlocal steps
+        for step in _pq_steps(P, Q, N):
+            steps += 1
+            yield step
+
+    theta = parse_theta(text)
+    expected = cf_expand_full_walk(theta)
+    monkeypatch.setattr(quadratic, "_pq_steps", counting)
+    cf = cf_expand(theta)
+    assert (cf.preperiod, cf.period) == expected
+    k = len(cf.period)
+    assert k > 1000
+    if ambiguous:
+        assert steps <= len(cf.preperiod) + -(-k // 2) + 2
+    else:
+        assert steps <= len(cf.preperiod) + k + 2
 
 
 def test_cf_period_states_are_reduced(rng):
