@@ -8,19 +8,19 @@ form (a, b, c) has the state (P, Q) = (b, 2|c|).  A form and its sign twin
 only reduce_cycle and compose return, are the signed form cycles over the
 states.  Classes are composed by the general Dirichlet composition formula
 (any signs, any common divisor of the leading coefficients).  One cached
-object per discriminant holds the wide classes and the identity.  All
-arithmetic is exact and pure Python: the reduced states, one per pair of
-sign twins, come from the divisors of m(b) = (disc - b^2)/4 in a window, for
-each middle coefficient b.  Small discriminants try each candidate divisor;
-larger ones factor every m(b) at once with a sieve over b, by the roots of
-b^2 = disc modulo each prime.
+object per discriminant holds the wide classes, the identity and, once
+composed, the invariant factors.  All arithmetic is exact and pure Python:
+the reduced states, one per pair of sign twins, come from the divisors of
+m(b) = (disc - b^2)/4 in a window, for each middle coefficient b.  Small
+discriminants try each candidate divisor; larger ones factor every m(b) at
+once with a sieve over b, by the roots of b^2 = disc modulo each prime.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
@@ -413,17 +413,70 @@ class _ClassData:
             least[name] = min(form, least.get(name, form))
         return sorted(least.values())
 
+    @cached_property
+    def structure(self) -> AbelianGroupStructure:
+        """Invariant factors from the p-adic valuations v_k of #{x : x**(p**k) = 1}.
+
+        v_k - v_(k-1) counts the cyclic p-parts of order >= p^k, so the i-th
+        largest, i < v_1, has order p^#{k : v_k - v_(k-1) > i}.  Composed on
+        first use and kept with the classes.
+        """
+        elements = self.classes
+        n = len(elements)
+        orders: list[int] = []
+        for p in quadratic._factorize(n):
+            # x**(p**k) is one lookup from x**(p**(k-1)) in the table of p-th powers
+            power = {x: _element_power(self, x, p) for x in elements}
+            current = elements
+            valuations = [0]
+            while True:
+                k = len(valuations)
+                current = [power[x] for x in current]
+                count = current.count(self.identity)
+                v = 0
+                while count and count % p == 0:
+                    count //= p
+                    v += 1
+                if count != 1:
+                    raise InvariantError(
+                        f"solution count of x^{p}^{k} is not a power of {p} "
+                        f"for discriminant {self.disc}"
+                    )
+                if v == valuations[-1]:
+                    break
+                valuations.append(v)
+            steps = [b - a for a, b in zip(valuations, valuations[1:])]
+            orders += [p ** sum(s > i for s in steps) for i in range(max(steps, default=0))]
+        structure = _chain(orders)
+        if structure.order != n:
+            raise InvariantError(
+                f"reconstructed group order {structure.order} does not match element "
+                f"count {n} for discriminant {self.disc}"
+            )
+        return structure
+
+
+def _element_power(data: _ClassData, x: _Form, e: int) -> _Form:
+    """The class x**e for e >= 1, by left-to-right binary powering from x."""
+    result = x
+    for bit in bin(e)[3:]:
+        result = data.mul(result, result)
+        if bit == "1":
+            result = data.mul(result, x)
+    return result
+
 
 @lru_cache(maxsize=4096)
 def _class_data(disc: int) -> _ClassData:
     """Class data of the discriminant, from the state cycles of its reduced forms.
 
-    A form and its sign twin (-a, b, -c) share a state, and the state cycle
-    through them is the union of their narrow classes: one wide class.  The
-    form cycle is twice the state cycle exactly when the state cycle is odd,
-    and then the twins are narrowly equivalent.  All cycles of one
-    discriminant have the same parity; odd cycles mean narrow = wide, i.e. a
-    unit of norm -1 in the order.
+    The one object per discriminant holds the wide classes, the identity and,
+    once composed, the invariant factors.  A form and its sign twin
+    (-a, b, -c) share a state, and the state cycle through them is the union
+    of their narrow classes: one wide class.  The form cycle is twice the
+    state cycle exactly when the state cycle is odd, and then the twins are
+    narrowly equivalent.  All cycles of one discriminant have the same parity;
+    odd cycles mean narrow = wide, i.e. a unit of norm -1 in the order.
     """
     wide_of: dict[_State, _Form] = {}
     parities = set()
@@ -544,53 +597,6 @@ def class_number_order(order: QuadraticOrder) -> int:
     return h_order
 
 
-def _element_power(data: _ClassData, x: _Form, e: int) -> _Form:
-    """The class x**e for e >= 1, by left-to-right binary powering from x."""
-    result = x
-    for bit in bin(e)[3:]:
-        result = data.mul(result, result)
-        if bit == "1":
-            result = data.mul(result, x)
-    return result
-
-
-def _invariant_factors(data: _ClassData) -> AbelianGroupStructure:
-    """Invariant factors from the p-adic valuations v_k of #{x : x**(p**k) = 1}.
-
-    v_k - v_(k-1) counts the cyclic p-parts of order >= p^k, so the i-th
-    largest, i < v_1, has order p^#{k : v_k - v_(k-1) > i}.
-    """
-    elements = data.classes
-    n = len(elements)
-    orders: list[int] = []
-    for p in quadratic._factorize(n):
-        # x**(p**k) is one lookup from x**(p**(k-1)) in the table of p-th powers
-        power = {x: _element_power(data, x, p) for x in elements}
-        current = elements
-        valuations = [0]
-        while True:
-            k = len(valuations)
-            current = [power[x] for x in current]
-            count = current.count(data.identity)
-            v = 0
-            while count and count % p == 0:
-                count //= p
-                v += 1
-            if count != 1:
-                raise InvariantError(f"solution count of x^{p}^{k} is not a power of {p}")
-            if v == valuations[-1]:
-                break
-            valuations.append(v)
-        steps = [b - a for a, b in zip(valuations, valuations[1:])]
-        orders += [p ** sum(s > i for s in steps) for i in range(max(steps, default=0))]
-    structure = _chain(orders)
-    if structure.order != n:
-        raise InvariantError(
-            f"reconstructed group order {structure.order} does not match element count {n}"
-        )
-    return structure
-
-
 def _check_bound(D: int, f: int, max_disc: int | None) -> None:
     """Refuse Z + f*O_k of Q(sqrt(D)) above the desk-scale bound, before D is factored."""
     bound = DEFAULT_MAX_DISC if max_disc is None else max_disc
@@ -599,22 +605,35 @@ def _check_bound(D: int, f: int, max_disc: int | None) -> None:
         raise DiscriminantBoundError(disc, bound)
 
 
+def _class_group(order: QuadraticOrder, max_disc: int | None) -> _ClassData:
+    """The cached class data of the order, on the one checked path to it.
+
+    The bound is checked before any class data is built, and the composed
+    group order against class_number_order on every call, cached or not.
+    """
+    _check_bound(order.D, order.f, max_disc)
+    data = _class_data(order.discriminant)
+    h = data.structure.order
+    expected = class_number_order(order)
+    if h != expected:
+        raise InvariantError(
+            f"composition group order {h} disagrees with the conductor "
+            f"formula value {expected} for {order}"
+        )
+    return data
+
+
 def class_group_structure(
     order: QuadraticOrder, max_disc: int | None = None
 ) -> AbelianGroupStructure:
     """Invariant factors of the class group, from brute-force composition.
 
     Enumerates every reduced form of the discriminant, groups their states
-    into wide classes, and reads the group structure off composition.
+    into wide classes, and reads the group structure off composition.  The
+    cached class data of the discriminant holds the wide classes, the identity
+    and, once composed, the invariant factors, so a repeat call composes
+    nothing; the bound and the conductor formula are checked on every call.
     Bounded by a desk-scale discriminant ceiling (DEFAULT_MAX_DISC unless
     overridden).
     """
-    _check_bound(order.D, order.f, max_disc)
-    structure = _invariant_factors(_class_data(order.discriminant))
-    expected = class_number_order(order)
-    if structure.order != expected:
-        raise InvariantError(
-            f"composition group order {structure.order} disagrees with the conductor "
-            f"formula value {expected} for {order}"
-        )
-    return structure
+    return _class_group(order, max_disc).structure

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classgroup import (
-    AbelianGroupStructure,
-    BinaryQuadraticForm,
-    _class_data,
-    class_group_structure,
-)
+from .classgroup import AbelianGroupStructure, BinaryQuadraticForm, _class_group
 from .lattice import QuadraticOrder, endomorphism_ring
 from .quadratic import QuadraticIrrational
 
@@ -57,9 +52,9 @@ def crossed_product_k0(
 ) -> KTheoryDescriptor:
     """K0 descriptor of the crossed product for the given theta."""
     order = endomorphism_ring(theta)
-    galois = class_group_structure(order, max_disc=max_disc)
+    data = _class_group(order, max_disc)
+    galois = data.structure
     h = galois.order
-    data = _class_data(order.discriminant)
     lambda_forms = tuple(
         BinaryQuadraticForm(*rep) for rep in data.classes if rep != data.identity
     )

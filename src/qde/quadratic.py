@@ -208,9 +208,6 @@ class QuadraticIrrational:
         g = gcd(gcd(a, b), c)
         return cls(a // g, b // g, c // g, d)
 
-    def conjugate(self) -> "QuadraticIrrational":
-        return QuadraticIrrational(self.a, -self.b, self.c, self.D)
-
     def minimal_polynomial(self) -> tuple[int, int, int]:
         """Primitive integral minimal polynomial A*x^2 + B*x + C with A > 0."""
         A = self.c * self.c
@@ -326,27 +323,6 @@ class QuadraticInteger:
     def norm(self) -> int:
         t, n = self.omega_trace, self.omega_norm
         return self.x * self.x + t * self.x * self.y + n * self.y * self.y
-
-    def __mul__(self, other: "QuadraticInteger") -> "QuadraticInteger":
-        if self.D != other.D:
-            raise FieldMismatchError(f"cannot multiply D={self.D} by D={other.D}")
-        t, n = self.omega_trace, self.omega_norm
-        # omega**2 = t*omega - n
-        x = self.x * other.x - n * self.y * other.y
-        y = self.x * other.y + self.y * other.x + t * self.y * other.y
-        return QuadraticInteger(x, y, self.D)
-
-    def __pow__(self, e: int) -> "QuadraticInteger":
-        if e < 0:
-            raise ValueError("negative powers are not supported")
-        result = QuadraticInteger(1, 0, self.D)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def to_irrational(self) -> QuadraticIrrational:
         """The value x + y*omega as a QuadraticIrrational (requires y != 0)."""

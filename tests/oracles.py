@@ -253,14 +253,20 @@ def factorize_reference(n: int) -> dict[int, int]:
 
 
 def unit_index_reference(D: int, f: int) -> int:
-    """Least n >= 1 whose full power epsilon**n has omega-coordinate 0 mod f."""
+    """Least n >= 1 whose full power epsilon**n has omega-coordinate 0 mod f.
+
+    The powers x + y*omega are multiplied over the full integers, with
+    omega**2 = t*omega - nrm, and never reduced mod f.
+    """
     from qde.quadratic import fundamental_unit
 
     epsilon, _ = fundamental_unit(D)
-    power = epsilon
+    t, nrm = epsilon.omega_trace, epsilon.omega_norm
+    ex, ey = epsilon.x, epsilon.y
+    x, y = ex, ey
     n = 1
-    while power.y % f:
-        power = power * epsilon
+    while y % f:
+        x, y = x * ex - nrm * y * ey, x * ey + y * ex + t * y * ey
         n += 1
     return n
 

@@ -1,6 +1,6 @@
 import dataclasses
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import isqrt
 
 import pytest
@@ -575,6 +575,67 @@ def test_refusal_comes_before_any_class_data_is_built():
         with pytest.raises(DiscriminantBoundError, match="desk-scale bound 1000000"):
             refuse()
     assert _class_data.cache_info() == before
+
+
+ONE_ORDER_THETAS = [QuadraticIrrational(0, 1, 1, 10), QuadraticIrrational(1, 1, 2, 1785)]
+
+
+def _group_calls(theta):
+    from qde.ktheory import crossed_product_k0
+    from qde.lattice import endomorphism_ring
+    from qde.predict import predict
+
+    order = endomorphism_ring(theta)
+    return {
+        "class_group_structure": lambda: class_group_structure(order),
+        "predict": lambda: predict(theta),
+        "crossed_product_k0": lambda: crossed_product_k0(theta),
+    }
+
+
+@pytest.mark.parametrize("theta", ONE_ORDER_THETAS, ids=str)
+def test_the_group_of_one_order_is_composed_once(theta, monkeypatch):
+    # the powering tables are built by the first of the three calls, in any
+    # order; the later two read the invariant factors off the cached class data
+    from qde import classgroup
+
+    powers = []
+
+    def counting(data, x, e):
+        powers.append(e)
+        return _element_power(data, x, e)
+
+    monkeypatch.setattr(classgroup, "_element_power", counting)
+    group_calls = _group_calls(theta)
+    for names in permutations(group_calls):
+        _class_data.cache_clear()
+        added = []
+        for name in names:
+            before = len(powers)
+            group_calls[name]()
+            added.append(len(powers) - before)
+        assert added[0] > 0 and added[1:] == [0, 0], (names, added)
+
+
+@pytest.mark.parametrize("theta", ONE_ORDER_THETAS, ids=str)
+def test_a_cached_group_is_still_checked_against_the_conductor_formula(theta, monkeypatch):
+    from qde import classgroup
+
+    group_calls = _group_calls(theta)
+    h = group_calls["class_group_structure"]().order
+    assert "structure" in _class_data(QuadraticOrder(theta.D, 1).discriminant).__dict__
+    monkeypatch.setattr(classgroup, "class_number_order", lambda order: h + 1)
+    for call in group_calls.values():
+        with pytest.raises(InvariantError, match=f"conductor formula value {h + 1} "):
+            call()
+
+
+def test_invariant_factor_errors_name_the_discriminant():
+    # a wrong identity leaves no solution of x^3 = identity in Z/3 (disc 316)
+    data = _class_data(316)
+    wrong = next(x for x in data.classes if x != data.identity)
+    with pytest.raises(InvariantError, match="not a power of 3 for discriminant 316"):
+        dataclasses.replace(data, identity=wrong).structure
 
 
 def test_galois_group_is_the_class_group():

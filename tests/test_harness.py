@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -353,6 +354,59 @@ def test_cli_cf_text(capsys):
 def test_cli_text_output_exact(capsys, argv, text):
     assert main(argv) == 0
     assert capsys.readouterr().out == text + "\n"
+
+
+@pytest.mark.parametrize("command", ["cf", "order", "classgroup", "companions", "k0", "predict"])
+def test_cli_takes_a_negative_theta_after_an_equals_sign(capsys, command):
+    # -sqrt(13) has the endomorphism order of sqrt(13), so every command but
+    # cf prints what it prints for sqrt(13)
+    assert main([command, "--theta=-sqrt(13)"]) == 0
+    out = capsys.readouterr().out
+    if command == "cf":
+        assert out == "preperiod=[-4, 2] period=[1, 1, 6, 1, 1]\n"
+    else:
+        assert main([command, "--theta", "sqrt(13)"]) == 0
+        assert out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["cf", "order", "classgroup", "companions", "k0", "predict"])
+def test_cli_reads_a_spaced_negative_theta_as_an_option(capsys, command):
+    # argparse takes "-sqrt(13)" for an option, so --theta has no value
+    with pytest.raises(SystemExit) as info:
+        main([command, "--theta", "-sqrt(13)"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qde {command} [-h]")
+    assert f"qde {command}: error: argument --theta: expected one argument" in err
+
+
+def _readme_examples():
+    """(command, result) for each `qde` line of README's Examples block with a result comment.
+
+    The result is the `#` comment at the end of the line or, failing that,
+    on the line after it.
+    """
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("qde "):
+            continue
+        command, _, result = line.partition(" #")
+        if not result and i + 1 < len(lines) and lines[i + 1].startswith("#"):
+            result = lines[i + 1][1:]
+        if result:
+            examples.append((command.strip(), result.strip()))
+    return examples
+
+
+def test_readme_examples_print_their_results(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 3, examples
+    for command, result in examples:
+        assert main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out == result + "\n", command
 
 
 def test_cli_validate_fixture(capsys):
