@@ -5,20 +5,30 @@ the data source.  Validation marks a record consistent exactly when
 |Sha| = (1 + rank)**2 and aggregates the outcome per rank.  Records are never
 matched to any particular quadratic irrational.
 
-`parse_curves` is the one loop that turns rows into records: a per-format
-reader (`_csv_rows`, `_json_rows`) yields each row with its line or row
-number, `_build_record` checks it, and every bad row's problem is collected
-before one CurveDataError is raised.  A UTF-8 byte-order mark is accepted in
-either format, and the warning for a file without data rows names the line
-that called `parse_curves`.
+`parse_curves` reads a file in one of two ways.  A bulk check per format
+(`_csv_bulk`, `_json_bulk`) reads a clean file column by column with
+builtins and builds its records in one call per chunk.  Every file the bulk
+check refuses goes to the row loop: a per-format reader (`_csv_rows`,
+`_json_rows`) yields each row with its line or row number, `_build_record`
+checks it, and every bad row's problem is collected before one
+CurveDataError is raised.  The row loop is the reference: the bulk check
+takes only files the loop accepts, and builds the same records.  A UTF-8
+byte-order mark is accepted in either format, and the warning for a file
+without data rows names the line that called `parse_curves`.
+
+Both `parse_curves` and `validate` pause the cyclic collector while they
+build objects: those hold only str, int and None, so they make no cycles.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .errors import CurveDataError
 
@@ -26,9 +36,18 @@ __all__ = ["CurveRecord", "ValidationReport", "parse_curves", "validate"]
 
 _BASE_COLUMNS = ("label", "rank", "sha_order")
 _OPTIONAL_COLUMNS = ("torsion_order", "conductor")
+_COLUMNS = _BASE_COLUMNS + _OPTIONAL_COLUMNS
+_COUNT_COLUMNS = _COLUMNS[1:]
+_LAYOUTS = [
+    list(_BASE_COLUMNS),
+    list(_BASE_COLUMNS) + ["torsion_order"],
+    list(_BASE_COLUMNS) + ["conductor"],
+    list(_BASE_COLUMNS) + list(_OPTIONAL_COLUMNS),
+]
+_CSV_CHUNK_ROWS = 8192  # rows the CSV bulk check holds at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveRecord:
     """One data row: an opaque curve label with its analytic invariants.
 
@@ -107,14 +126,20 @@ class ValidationReport:
         }
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector for the block; restore it only if it ran before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _check_header(header: list[str], line_num: int) -> list[str]:
-    valid = [
-        list(_BASE_COLUMNS),
-        list(_BASE_COLUMNS) + ["torsion_order"],
-        list(_BASE_COLUMNS) + ["conductor"],
-        list(_BASE_COLUMNS) + list(_OPTIONAL_COLUMNS),
-    ]
-    if header not in valid:
+    if header not in _LAYOUTS:
         raise CurveDataError(
             [
                 f"line {line_num}: header {','.join(header)!r} is not one of the "
@@ -155,35 +180,154 @@ def _build_record(fields: dict, seen: set[str]) -> CurveRecord:
     return record
 
 
+class _LongJsonInt:
+    """A JSON integer literal past ``sys.get_int_max_str_digits()``: the row
+    loop refuses it with its row, as it refuses such a count in CSV."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongJsonInt(text)
+
+
+def _load_json(handle) -> list:
+    """The top-level array of a JSON curve file."""
+    text = handle.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CurveDataError([f"line {exc.lineno}: {exc.msg}"]) from exc
+    except RecursionError:
+        raise CurveDataError(["row 0: top-level JSON value is nested too deeply to decode"]) from None
+    except ValueError:  # an integer literal past the digit limit; the row loop names its row
+        data = json.loads(text, parse_int=_json_int)
+    if not isinstance(data, list):
+        raise CurveDataError(["row 0: top-level JSON value must be an array of objects"])
+    return data
+
+
+def _csv_counts(cells: list[str], name: str) -> list[int | None] | None:
+    """The counts of one stripped CSV column, or None unless every cell is plain
+    ASCII digits (or blank, where the column is optional)."""
+    text = "".join(cells)
+    if text and not (text.isascii() and text.isdigit()):
+        return None
+    if all(cells):
+        return list(map(int, cells))
+    if name in _BASE_COLUMNS:
+        return None
+    return [int(cell) if cell else None for cell in cells]
+
+
+def _csv_bulk(handle) -> list[CurveRecord] | None:
+    """The records of a clean CSV file, or None for the row loop to read it.
+
+    Clean: a known header after any comment lines, then only blank lines and
+    rows of the header's width; unique labels, none starting with ``#``;
+    counts of plain ASCII digits.  CurveRecord refuses an empty label or a
+    zero count, and its ValueError, like an int past the digit limit or a
+    csv.Error, sends the file to the row loop.  The rows are read in chunks,
+    so only one chunk of cells is held at a time.
+    """
+    reader = csv.reader(handle)
+    try:
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                break
+        else:
+            return None
+        header = [cell.strip() for cell in row]
+        if header not in _LAYOUTS:
+            return None
+        records: list[CurveRecord] = []
+        seen: set[str] = set()
+        while rows := list(filter(None, islice(reader, _CSV_CHUNK_ROWS))):
+            if set(map(len, rows)) != {len(header)}:
+                return None
+            cells = {
+                name: list(map(str.strip, column)) for name, column in zip(header, zip(*rows))
+            }
+            labels = cells.pop("label")
+            seen.update(labels)
+            if len(seen) != len(records) + len(labels) or any(
+                map(str.startswith, labels, repeat("#"))
+            ):
+                return None
+            counts = []
+            for name in _COUNT_COLUMNS:
+                column = _csv_counts(cells[name], name) if name in cells else repeat(None)
+                if column is None:
+                    return None
+                counts.append(column)
+            records.extend(map(CurveRecord, labels, *counts))
+    except (ValueError, csv.Error):
+        return None
+    return records
+
+
+def _json_bulk(data: list) -> list[CurveRecord] | None:
+    """The records of a clean JSON array, or None for the row loop to read it.
+
+    Clean: objects with known keys only; nonempty unique str labels; int
+    counts (no bool) within their bounds, the optional ones int or null.
+    """
+    if set(map(type, data)) != {dict} or not set().union(*data) <= set(_COLUMNS):
+        return None
+    labels = list(map(dict.get, data, repeat("label")))
+    if set(map(type, labels)) != {str} or not all(labels) or len(set(labels)) != len(labels):
+        return None
+    counts = []
+    for name in _COUNT_COLUMNS:
+        column = list(map(dict.get, data, repeat(name)))
+        types = set(map(type, column))
+        floor = 0 if name == "rank" else 1
+        if name in _BASE_COLUMNS:
+            clean = types == {int} and min(column) >= floor
+        else:  # None is a missing count; a set of the values could outgrow the file's text
+            clean = types <= {int, type(None)} and 0 not in column
+            clean = clean and min(filter(None, column), default=floor) >= floor
+        if not clean:
+            return None
+        counts.append(column)
+    data.clear()  # the rows go before the records come, as in the row loop
+    return list(map(CurveRecord, labels, *counts))
+
+
 def _csv_rows(handle):
     """(where, fields) per data line; a ValueError stands in for a malformed row."""
     reader = csv.reader(handle)
     header: list[str] | None = None
-    for row in reader:
-        if not row or row[0].lstrip().startswith("#"):
-            continue  # provenance comments and blank lines
-        cells = [cell.strip() for cell in row]
-        if header is None:
-            header = _check_header(cells, reader.line_num)
-        elif len(cells) != len(header):
-            yield f"line {reader.line_num}", ValueError(
-                f"expected {len(header)} columns, found {len(cells)}"
-            )
-        else:
-            yield f"line {reader.line_num}", dict(zip(header, cells))
+    try:
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue  # provenance comments and blank lines
+            cells = [cell.strip() for cell in row]
+            if header is None:
+                header = _check_header(cells, reader.line_num)
+            elif len(cells) != len(header):
+                yield f"line {reader.line_num}", ValueError(
+                    f"expected {len(header)} columns, found {len(cells)}"
+                )
+            else:
+                yield f"line {reader.line_num}", dict(zip(header, cells))
+    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit(); reading stops here
+        yield f"line {reader.line_num}", ValueError(str(exc))
+        return
     if header is None:
         raise CurveDataError(["line 1: missing header row"])
 
 
-def _json_rows(handle):
+def _json_rows(data: list):
     """(where, fields) per array element; a ValueError stands in for a malformed row."""
-    try:
-        data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CurveDataError([f"line {exc.lineno}: {exc.msg}"]) from exc
-    if not isinstance(data, list):
-        raise CurveDataError(["row 0: top-level JSON value must be an array of objects"])
-    allowed = set(_BASE_COLUMNS) | set(_OPTIONAL_COLUMNS)
+    allowed = set(_COLUMNS)
     for i, item in enumerate(data):
         data[i] = None  # drop each parsed row once read, so rows and records never all coexist
         if not isinstance(item, dict):
@@ -193,34 +337,55 @@ def _json_rows(handle):
         yield f"row {i}", item
 
 
+def _row_loop(rows) -> list[CurveRecord]:
+    """The records of every row, or one CurveDataError naming every bad row."""
+    problems: list[str] = []
+    records: list[CurveRecord] = []
+    seen: set[str] = set()
+    for where, fields in rows:
+        try:
+            if isinstance(fields, ValueError):
+                raise fields
+            records.append(_build_record(fields, seen))
+        except ValueError as exc:
+            problems.append(f"{where}: {exc}")
+    if problems:
+        raise CurveDataError(problems)
+    return records
+
+
+def _read_csv(handle) -> list[CurveRecord]:
+    records = _csv_bulk(handle)
+    if records is None:
+        handle.seek(0)
+        records = _row_loop(_csv_rows(handle))
+    return records
+
+
+def _read_json(handle) -> list[CurveRecord]:
+    data = _load_json(handle)
+    records = _json_bulk(data)
+    return _row_loop(_json_rows(data)) if records is None else records
+
+
 def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
     """Read curve records from a CSV or JSON file.
 
     CSV needs a header row ``label,rank,sha_order[,torsion_order][,conductor]``;
     lines starting with ``#`` are treated as comments.  JSON is an array of
     objects with the same keys.  Either file may start with a UTF-8 byte-order
-    mark.  Both formats feed one loop that builds the records, so all rows
-    must parse; otherwise a CurveDataError carrying every line-numbered
-    problem is raised.  A file with no data rows warns at the caller's line.
+    mark.  A bulk check reads a clean file; any other file goes through one
+    row loop, so all rows must parse; otherwise a CurveDataError carrying
+    every line-numbered problem is raised.  A file with no data rows warns at
+    the caller's line.
     """
-    rows = {"csv": _csv_rows, "json": _json_rows}.get(format)
-    if rows is None:
+    read = {"csv": _read_csv, "json": _read_json}.get(format)
+    if read is None:
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
-    problems: list[str] = []
-    records: list[CurveRecord] = []
-    seen: set[str] = set()
     # csv wants newline=""; JSON keeps universal newlines for its error line numbers
     newline = "" if format == "csv" else None
-    with open(path, newline=newline, encoding="utf-8-sig") as handle:
-        for where, fields in rows(handle):
-            try:
-                if isinstance(fields, ValueError):
-                    raise fields
-                records.append(_build_record(fields, seen))
-            except ValueError as exc:
-                problems.append(f"{where}: {exc}")
-    if problems:
-        raise CurveDataError(problems)
+    with _collector_paused(), open(path, newline=newline, encoding="utf-8-sig") as handle:
+        records = read(handle)
     if not records:
         warnings.warn(f"{path}: no data rows found", stacklevel=2)
     return records
@@ -232,24 +397,25 @@ def validate(records, jobs: int = 1) -> ValidationReport:
     The check is one comparison per record and always runs serially; jobs
     (at least 1) is accepted for compatibility and does not change the report.
     """
-    records = list(records)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    by_rank: dict[int, list[int]] = {}
-    violation_rows = []
-    for r in records:
-        stats = by_rank.setdefault(r.rank, [0, 0])
-        stats[0] += 1
-        predicted = (1 + r.rank) ** 2
-        if r.sha_order == predicted:
-            stats[1] += 1
-        else:
-            violation_rows.append((r.label, r.rank, r.sha_order, predicted))
-    violation_rows.sort()
-    return ValidationReport(
-        total=len(records),
-        consistent=len(records) - len(violation_rows),
-        violations=len(violation_rows),
-        violation_rows=tuple(violation_rows),
-        by_rank=tuple((rank, t, c) for rank, (t, c) in sorted(by_rank.items())),
-    )
+    with _collector_paused():
+        records = list(records)
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        by_rank: dict[int, list[int]] = {}
+        violation_rows = []
+        for r in records:
+            stats = by_rank.setdefault(r.rank, [0, 0])
+            stats[0] += 1
+            predicted = (1 + r.rank) ** 2
+            if r.sha_order == predicted:
+                stats[1] += 1
+            else:
+                violation_rows.append((r.label, r.rank, r.sha_order, predicted))
+        violation_rows.sort()
+        return ValidationReport(
+            total=len(records),
+            consistent=len(records) - len(violation_rows),
+            violations=len(violation_rows),
+            violation_rows=tuple(violation_rows),
+            by_rank=tuple((rank, t, c) for rank, (t, c) in sorted(by_rank.items())),
+        )

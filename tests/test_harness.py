@@ -1,3 +1,6 @@
+import csv
+import gc
+import io
 import json
 import os
 import random
@@ -5,12 +8,17 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from qde import harness
 from qde.cli import main
 from qde.errors import CurveDataError
 from qde.harness import CurveRecord, ValidationReport, parse_curves, validate
@@ -257,6 +265,301 @@ def test_parse_refuses_counts_that_are_not_ascii_base_10(tmp_path, capsys, fmt, 
     assert capsys.readouterr().out == ""
     path.write_text(text.format(" +3 "), encoding="utf-8")  # a sign and padding stay allowed
     assert parse_curves(str(path), format=fmt) == [CurveRecord("a", 3, 1)]
+
+
+@pytest.mark.parametrize(
+    "name,text,problem",
+    [
+        # csv.Error used to escape as a traceback
+        ("long.csv", "label,rank,sha_order\na,0,1\nb," + "1" * 131_073 + ",1\n",
+         "line 3: field larger than field limit (131072)"),
+        # RecursionError used to escape as a traceback
+        ("deep.json", '[{"label": "a", "rank": 0, "sha_order": 1},\n'
+         + "[" * 100_000 + "]" * 100_000 + "]",
+         "row 0: top-level JSON value is nested too deeply to decode"),
+    ],
+    ids=["csv-field-limit", "json-nesting"],
+)
+def test_cli_rejects_a_file_its_reader_cannot_read_without_a_traceback(
+    tmp_path, capsys, name, text, problem
+):
+    path = tmp_path / name
+    path.write_text(text)
+    fmt = name.rsplit(".", 1)[1]
+    with pytest.raises(CurveDataError) as info:
+        parse_curves(str(path), format=fmt)
+    assert info.value.problems == [problem]
+    assert main(["validate", "--input", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: curve data rejected: {problem}\n"
+    assert "Traceback" not in captured.err
+
+
+def test_parse_names_the_row_of_a_json_count_past_the_int_digit_limit(tmp_path, capsys):
+    # json.load used to raise a bare ValueError without a row; under the
+    # digit limit the count is refused as the same count in CSV is
+    digits = "1" + "0" * 4300
+    csv_path, json_path = tmp_path / "big.csv", tmp_path / "big.json"
+    csv_path.write_text(f"label,rank,sha_order\na,0,1\nb,{digits},1\n")
+    json_path.write_text(
+        f'[{{"label": "a", "rank": 0, "sha_order": 1}},\n'
+        f'{{"label": "b", "rank": {digits}, "sha_order": 1}}]'
+    )
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for path, fmt, problem in (
+            (csv_path, "csv", f"line 3: column 'rank' is not a base-10 integer: {digits!r}"),
+            (json_path, "json", f"row 1: column 'rank' is not a base-10 integer: {digits}"),
+        ):
+            with pytest.raises(CurveDataError) as info:
+                parse_curves(str(path), format=fmt)
+            assert info.value.problems == [problem]
+        # the CLI lifts the limit while it runs, so it reads the count, and
+        # both formats give one report
+        assert main(["validate", "--input", str(csv_path), "--json"]) == 0
+        expected = capsys.readouterr()
+        assert main(["validate", "--input", str(json_path), "--format", "json", "--json"]) == 0
+        assert capsys.readouterr() == expected
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert expected.err == "" and '"violations":1,' in expected.out
+
+
+# Curve files for the differential test: a clean file, which the bulk check
+# must take, with up to two faults put in.  A file with faults may go either
+# way, but parse_curves must give what the row loop alone gives.
+_LONG = "4" + "0" * 4300  # past the default int digit limit
+_MESSY_COUNTS = ["0", "1", "007", "+3", " 5 ", "-1", "", " ", "٣", "1_0", "x", "1.0", _LONG]
+_MESSY_LABELS = ["", " ", "#x", " #y", "d,e", "f\ng", 'h"i']
+_MESSY_VALUES = [0, -1, True, False, 1.0, None, "3", " +3 ", "007", "", "x", "_LONG_"]
+_CORE_LABELS = st.text(alphabet='ab,"\n#', max_size=3).map(lambda m: f"L{m}L")
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, clean) for a small CSV curve file."""
+    header = draw(st.sampled_from(harness._LAYOUTS))
+    rows = []
+    for label in draw(st.lists(_CORE_LABELS, unique=True, max_size=6)):
+        row = [draw(st.sampled_from(["", " ", "\t"])).join(("", label, ""))]
+        for name in header[1:]:
+            cell = str(draw(st.integers(0 if name == "rank" else 1, 10**6)))
+            if name in harness._OPTIONAL_COLUMNS and draw(st.booleans()):
+                cell = ""
+            elif draw(st.booleans()):
+                cell = draw(st.sampled_from(["0", " ", "00"])) + cell
+            row.append(cell)
+        rows.append(row)
+    faults = draw(st.integers(0, 2)) if rows else 0
+    for _ in range(faults):
+        row = draw(st.sampled_from(rows))
+        fault = draw(st.sampled_from(["cell", "cell", "width", "duplicate", "comment"]))
+        if fault == "cell":
+            j = draw(st.integers(0, len(row) - 1))
+            row[j] = draw(st.sampled_from(_MESSY_COUNTS if j else _MESSY_LABELS))
+        elif fault == "width":
+            row.append("1") if draw(st.booleans()) else row.pop()
+        elif fault == "duplicate":
+            row[0] = rows[0][0]
+        else:  # a comment line of any width
+            row[0] = "# " + row[0]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    if draw(st.booleans()):
+        out.write("# provenance\n")
+    writer.writerow(header)
+    for row in rows:
+        if draw(st.integers(0, 5)) == 0:
+            out.write("\n")
+        writer.writerow(row)
+    return out.getvalue(), not faults
+
+
+@st.composite
+def _json_files(draw):
+    """(text, clean) for a small JSON curve file."""
+    items = []
+    labels = draw(st.lists(_CORE_LABELS | st.just(" a "), unique=True, max_size=6))
+    for label in labels:
+        item = {"label": label, "rank": draw(st.integers(0, 10**6)),
+                "sha_order": draw(st.integers(1, 10**6))}
+        for name in harness._OPTIONAL_COLUMNS:
+            value = draw(st.sampled_from(["absent", None, 1, 12]))
+            if value != "absent":
+                item[name] = value
+        items.append(item)
+    faults = draw(st.integers(0, 2)) if items else 0
+    for _ in range(faults):
+        i = draw(st.integers(0, len(items) - 1))
+        item = items[i]
+        if not isinstance(item, dict):
+            continue
+        fault = draw(st.sampled_from(["value", "value", "label", "duplicate", "drop", "extra", "row"]))
+        if fault == "value":
+            item[draw(st.sampled_from(harness._COUNT_COLUMNS))] = draw(st.sampled_from(_MESSY_VALUES))
+        elif fault == "label":
+            item["label"] = draw(st.sampled_from(_MESSY_LABELS + [5, None]))
+        elif fault == "duplicate":
+            item["label"] = labels[-1]
+        elif fault == "drop":
+            item.pop(draw(st.sampled_from(harness._COLUMNS)), None)
+        elif fault == "extra":
+            item["extra"] = 1
+        else:
+            items[i] = draw(st.sampled_from([7, ["a"]]))
+    text = json.dumps(items, indent=draw(st.sampled_from([None, 1])))
+    return text.replace('"_LONG_"', _LONG), bool(items) and not faults  # [] goes to the row loop
+
+
+def _outcome(path, fmt):
+    """The records, or the problem list, that parse_curves gives for a file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a file without data rows warns
+        try:
+            return parse_curves(str(path), format=fmt)
+        except CurveDataError as exc:
+            return exc.problems
+
+
+def _assert_bulk_matches_the_row_loop(path, fmt, clean):
+    with mock.patch.object(harness, "_csv_bulk", return_value=None), \
+            mock.patch.object(harness, "_json_bulk", return_value=None):
+        expected = _outcome(path, fmt)
+    name = f"_{fmt}_bulk"
+    bulk, taken = getattr(harness, name), []
+
+    def spy(arg):
+        taken.append(bulk(arg))
+        return taken[0]
+
+    with mock.patch.object(harness, name, spy):
+        assert _outcome(path, fmt) == expected
+    if clean:  # a clean file is read in bulk
+        assert taken[0] is not None
+
+
+@given(
+    case=st.one_of(_csv_files().map(lambda c: ("csv", *c)), _json_files().map(lambda c: ("json", *c))),
+    bom=st.booleans(),
+)
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bulk_check_gives_what_the_row_loop_gives(tmp_path, case, bom):
+    fmt, text, clean = case
+    path = tmp_path / f"curves.{fmt}"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    _assert_bulk_matches_the_row_loop(path, fmt, clean)
+
+
+@pytest.mark.parametrize(
+    "fmt,body,clean",
+    [
+        # one fault each, so that every refusal of the bulk check is reached
+        ("csv", "a,,1", False),
+        ("csv", "a, ,1", False),
+        ("csv", "a,0,0", False),
+        ("csv", "a,0,1,0,", False),
+        ("csv", "a,0,1,,0", False),
+        ("csv", ",0,1,,", False),
+        ("csv", "  ,0,1,,", False),
+        ("csv", "a,0,1,,\n#b,0,1,,", False),  # a comment of the header's width
+        ("csv", "a,0,1,,\na,1,4,,", False),
+        ("csv", "a,+3,1,,", False),
+        ("csv", "a,٣,1,,", False),
+        ("csv", "a,²,1,,", False),  # isdigit() but not a decimal digit
+        ("csv", f"a,{_LONG},1,,", False),
+        ("csv", "a,0,1,,\nb,1,4", False),
+        ("csv", '"a,\nb", 007 ,\t4\t, , 11', True),
+        ("json", '[{"label": "", "rank": 0, "sha_order": 1}]', False),
+        ("json", '[{"label": " ", "rank": 0, "sha_order": 1}]', True),  # not stripped
+        ("json", '[{"label": "a", "rank": 0, "sha_order": 0}]', False),
+        ("json", '[{"label": "a", "rank": -1, "sha_order": 1}]', False),
+        ("json", '[{"label": "a", "rank": 0, "sha_order": 1, "torsion_order": 0}]', False),
+        ("json", '[{"label": "a", "rank": 0, "sha_order": 1, "conductor": -3}]', False),
+        ("json", '[{"label": "a", "rank": 0, "sha_order": 1, "conductor": false}]', False),
+        ("json", '[{"label": "a", "rank": 0, "sha_order": 1.0}]', False),
+        ("json", '[{"label": "a", "rank": "0", "sha_order": 1}]', False),
+        ("json", '[{"label": "a", "rank": 0, "sha_order": 1, "conductor": ""}]', False),
+        ("json", '[{"label": "a", "rank": 0, "sha_order": 1}, {"label": "a", "rank": 0, "sha_order": 1}]',
+         False),
+        ("json", f'[{{"label": "a", "rank": {_LONG}, "sha_order": 1}}]', False),
+        ("json", '[{"label": "a", "rank": 0, "sha_order": 1, "conductor": null}]', True),
+    ],
+)
+def test_bulk_check_gives_what_the_row_loop_gives_on_each_fault(tmp_path, fmt, body, clean):
+    path = tmp_path / f"curves.{fmt}"
+    header = "label,rank,sha_order,torsion_order,conductor\n" if fmt == "csv" else ""
+    path.write_text(header + body + "\n", encoding="utf-8")
+    _assert_bulk_matches_the_row_loop(path, fmt, clean)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bulk_check_reads_the_bundled_fixtures(fmt):
+    newline = "" if fmt == "csv" else None
+    with open(FIXTURES / f"curves.{fmt}", newline=newline, encoding="utf-8-sig") as handle:
+        if fmt == "csv":
+            records = harness._csv_bulk(handle)
+        else:
+            records = harness._json_bulk(harness._load_json(handle))
+    assert records == parse_curves(str(FIXTURES / f"curves.{fmt}"), format=fmt)
+    assert len(records) == 6
+
+
+def test_bulk_check_reads_a_csv_file_longer_than_one_chunk(tmp_path):
+    n = 2 * harness._CSV_CHUNK_ROWS + 3
+    path = tmp_path / "many.csv"
+    path.write_text("label,rank,sha_order,conductor\n"
+                    + "".join(f"c{i},{i % 3},{(1 + i % 3) ** 2},{i + 1}\n" for i in range(n)))
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        records = harness._csv_bulk(handle)
+    assert records == [CurveRecord(f"c{i}", i % 3, (1 + i % 3) ** 2, None, i + 1) for i in range(n)]
+    # a duplicate label in a later chunk sends the file to the row loop
+    with open(path, "a") as handle:
+        handle.write("c0,0,1,1\n")
+    with pytest.raises(CurveDataError) as info:
+        parse_curves(str(path))
+    assert info.value.problems == [f"line {n + 2}: duplicate label 'c0'"]
+
+
+def test_curve_records_have_slots():
+    record = CurveRecord("x", 0, 1)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.rank = 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_and_validate_leave_the_collector_as_they_found_it(tmp_path, enabled):
+    good = FIXTURES / "curves.csv"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(BAD_CSV)
+    seen = []
+
+    def records():  # validate reads its records with the collector paused
+        for record in parse_curves(str(good)):
+            seen.append(gc.isenabled())
+            yield record
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert len(parse_curves(str(good))) == 6
+        assert gc.isenabled() is enabled
+        assert parse_curves(str(FIXTURES / "curves.json"), format="json")
+        assert gc.isenabled() is enabled
+        with pytest.raises(CurveDataError):
+            parse_curves(str(bad))
+        assert gc.isenabled() is enabled
+        assert validate(records()).total == 6
+        assert gc.isenabled() is enabled and seen == [False] * 6
+        with pytest.raises(ValueError):
+            validate([], jobs=0)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 # ---------------------------------------------------------------------------
