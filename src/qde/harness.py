@@ -354,20 +354,6 @@ def _row_loop(rows) -> list[CurveRecord]:
     return records
 
 
-def _read_csv(handle) -> list[CurveRecord]:
-    records = _csv_bulk(handle)
-    if records is None:
-        handle.seek(0)
-        records = _row_loop(_csv_rows(handle))
-    return records
-
-
-def _read_json(handle) -> list[CurveRecord]:
-    data = _load_json(handle)
-    records = _json_bulk(data)
-    return _row_loop(_json_rows(data)) if records is None else records
-
-
 def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
     """Read curve records from a CSV or JSON file.
 
@@ -379,13 +365,21 @@ def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
     every line-numbered problem is raised.  A file with no data rows warns at
     the caller's line.
     """
-    read = {"csv": _read_csv, "json": _read_json}.get(format)
-    if read is None:
+    if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
     # csv wants newline=""; JSON keeps universal newlines for its error line numbers
     newline = "" if format == "csv" else None
     with _collector_paused(), open(path, newline=newline, encoding="utf-8-sig") as handle:
-        records = read(handle)
+        if format == "csv":
+            records = _csv_bulk(handle)
+            if records is None:
+                handle.seek(0)
+                records = _row_loop(_csv_rows(handle))
+        else:
+            data = _load_json(handle)
+            records = _json_bulk(data)
+            if records is None:
+                records = _row_loop(_json_rows(data))
     if not records:
         warnings.warn(f"{path}: no data rows found", stacklevel=2)
     return records
