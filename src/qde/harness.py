@@ -5,14 +5,15 @@ the data source.  Validation marks a record consistent exactly when
 |Sha| = (1 + rank)**2 and aggregates the outcome per rank.  Records are never
 matched to any particular quadratic irrational.
 
-`parse_curves` reads a file in one of two ways.  A bulk check per format
-(`_csv_bulk`, `_json_bulk`) reads a clean file column by column with
-builtins and builds its records in one call per chunk.  Every file the bulk
-check refuses goes to the row loop: a per-format reader (`_csv_rows`,
-`_json_rows`) yields each row with its line or row number, `_build_record`
-checks it, and every bad row's problem is collected before one
-CurveDataError is raised.  The row loop is the reference: the bulk check
-takes only files the loop accepts, and builds the same records.  A UTF-8
+`parse_curves` reads a file in two stages.  A bulk check per format
+(`_csv_bulk`, `_json_bulk`) reads a clean file in chunks of rows, checks each
+chunk column by column with builtins and builds its records in one call.
+At the first chunk the bulk check refuses, the row loop takes over with the
+records and labels read so far: a per-format reader (`_csv_rows`,
+`_json_rows`) yields each row from there with its line or row number,
+`_build_record` checks it, and every bad row's problem is collected before
+one CurveDataError is raised.  The row loop is the reference: the bulk check
+takes only rows the loop accepts, and builds the same records.  A UTF-8
 byte-order mark is accepted in either format, and the warning for a file
 without data rows names the line that called `parse_curves`.
 
@@ -44,7 +45,7 @@ _LAYOUTS = [
     list(_BASE_COLUMNS) + ["conductor"],
     list(_BASE_COLUMNS) + list(_OPTIONAL_COLUMNS),
 ]
-_CSV_CHUNK_ROWS = 8192  # rows the CSV bulk check holds at once
+_CHUNK_ROWS = 8192  # rows the bulk check holds at once
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,17 +199,22 @@ def _json_int(text: str):
         return _LongJsonInt(text)
 
 
-def _load_json(handle) -> list:
-    """The top-level array of a JSON curve file."""
-    text = handle.read()
+def _decode_json(text: str, **options):
     try:
-        data = json.loads(text)
+        return json.loads(text, **options)
     except json.JSONDecodeError as exc:
         raise CurveDataError([f"line {exc.lineno}: {exc.msg}"]) from exc
     except RecursionError:
         raise CurveDataError(["row 0: top-level JSON value is nested too deeply to decode"]) from None
+
+
+def _load_json(handle) -> list:
+    """The top-level array of a JSON curve file."""
+    text = handle.read()
+    try:
+        data = _decode_json(text)
     except ValueError:  # an integer literal past the digit limit; the row loop names its row
-        data = json.loads(text, parse_int=_json_int)
+        data = _decode_json(text, parse_int=_json_int)
     if not isinstance(data, list):
         raise CurveDataError(["row 0: top-level JSON value must be an array of objects"])
     return data
@@ -227,66 +233,87 @@ def _csv_counts(cells: list[str], name: str) -> list[int | None] | None:
     return [int(cell) if cell else None for cell in cells]
 
 
-def _csv_bulk(handle) -> list[CurveRecord] | None:
-    """The records of a clean CSV file, or None for the row loop to read it.
+def _csv_chunk(header: list[str], rows: list[list[str]], seen: set[str]) -> list[CurveRecord] | None:
+    """The records of a clean chunk of CSV rows, or None.
 
-    Clean: a known header after any comment lines, then only blank lines and
-    rows of the header's width; unique labels, none starting with ``#``;
-    counts of plain ASCII digits.  CurveRecord refuses an empty label or a
-    zero count, and its ValueError, like an int past the digit limit or a
-    csv.Error, sends the file to the row loop.  The rows are read in chunks,
-    so only one chunk of cells is held at a time.
+    Clean: rows of the header's width; labels unique here and new to seen,
+    none starting with ``#``; counts of plain ASCII digits.  CurveRecord
+    refuses an empty label or a zero count with a ValueError.  The chunk's
+    labels join seen only once its records are built.
+    """
+    if set(map(len, rows)) != {len(header)}:
+        return None
+    cells = {name: list(map(str.strip, column)) for name, column in zip(header, zip(*rows))}
+    labels = cells.pop("label")
+    new = set(labels)
+    if len(new) != len(labels) or not seen.isdisjoint(new) or any(
+        map(str.startswith, labels, repeat("#"))
+    ):
+        return None
+    counts = []
+    for name in _COUNT_COLUMNS:
+        column = _csv_counts(cells[name], name) if name in cells else repeat(None)
+        if column is None:
+            return None
+        counts.append(column)
+    records = list(map(CurveRecord, labels, *counts))
+    seen.update(new)
+    return records
+
+
+def _csv_bulk(handle, records: list[CurveRecord], seen: set[str]) -> int | None:
+    """Read a CSV file's clean chunks of rows into records, and their labels into seen.
+
+    Returns None once the whole file is read.  Otherwise returns the number of
+    the last line before the first chunk that is not clean (0 before a known
+    header), and the row loop reads the file past it.  A ValueError, like an
+    int past the digit limit, or a csv.Error also ends the bulk check there.
+    Only one chunk of cells is held at a time.
     """
     reader = csv.reader(handle)
+    done = 0
     try:
         for row in reader:
             if row and not row[0].lstrip().startswith("#"):
                 break
         else:
-            return None
+            return 0
         header = [cell.strip() for cell in row]
         if header not in _LAYOUTS:
-            return None
-        records: list[CurveRecord] = []
-        seen: set[str] = set()
-        while rows := list(filter(None, islice(reader, _CSV_CHUNK_ROWS))):
-            if set(map(len, rows)) != {len(header)}:
+            return 0
+        while True:
+            done = reader.line_num
+            chunk = list(islice(reader, _CHUNK_ROWS))
+            if not chunk:
                 return None
-            cells = {
-                name: list(map(str.strip, column)) for name, column in zip(header, zip(*rows))
-            }
-            labels = cells.pop("label")
-            seen.update(labels)
-            if len(seen) != len(records) + len(labels) or any(
-                map(str.startswith, labels, repeat("#"))
-            ):
-                return None
-            counts = []
-            for name in _COUNT_COLUMNS:
-                column = _csv_counts(cells[name], name) if name in cells else repeat(None)
-                if column is None:
-                    return None
-                counts.append(column)
-            records.extend(map(CurveRecord, labels, *counts))
+            rows = list(filter(None, chunk))  # blank lines
+            if rows:
+                new = _csv_chunk(header, rows, seen)
+                if new is None:
+                    return done
+                records.extend(new)
     except (ValueError, csv.Error):
-        return None
-    return records
+        return done
 
 
-def _json_bulk(data: list) -> list[CurveRecord] | None:
-    """The records of a clean JSON array, or None for the row loop to read it.
+def _json_chunk(rows: list, seen: set[str]) -> list[CurveRecord] | None:
+    """The records of a clean chunk of JSON rows, or None.
 
-    Clean: objects with known keys only; nonempty unique str labels; int
-    counts (no bool) within their bounds, the optional ones int or null.
+    Clean: objects with known keys only; nonempty str labels, unique here and
+    new to seen; int counts (no bool) within their bounds, the optional ones
+    int or null.  The chunk's labels join seen once its records are built.
     """
-    if set(map(type, data)) != {dict} or not set().union(*data) <= set(_COLUMNS):
+    if set(map(type, rows)) != {dict} or not set().union(*rows) <= set(_COLUMNS):
         return None
-    labels = list(map(dict.get, data, repeat("label")))
-    if set(map(type, labels)) != {str} or not all(labels) or len(set(labels)) != len(labels):
+    labels = list(map(dict.get, rows, repeat("label")))
+    if set(map(type, labels)) != {str} or not all(labels):
+        return None
+    new = set(labels)
+    if len(new) != len(labels) or not seen.isdisjoint(new):
         return None
     counts = []
     for name in _COUNT_COLUMNS:
-        column = list(map(dict.get, data, repeat(name)))
+        column = list(map(dict.get, rows, repeat(name)))
         types = set(map(type, column))
         floor = 0 if name == "rank" else 1
         if name in _BASE_COLUMNS:
@@ -297,18 +324,38 @@ def _json_bulk(data: list) -> list[CurveRecord] | None:
         if not clean:
             return None
         counts.append(column)
-    data.clear()  # the rows go before the records come, as in the row loop
-    return list(map(CurveRecord, labels, *counts))
+    records = list(map(CurveRecord, labels, *counts))
+    seen.update(new)
+    return records
 
 
-def _csv_rows(handle):
-    """(where, fields) per data line; a ValueError stands in for a malformed row."""
+def _json_bulk(data: list, records: list[CurveRecord], seen: set[str]) -> int | None:
+    """Read a JSON array's clean chunks of rows into records, and their labels into seen.
+
+    Returns None once the whole array is read, or else the index of the first
+    row of the first chunk that is not clean: the row loop reads from there.
+    """
+    for start in range(0, len(data), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        new = _json_chunk(data[start:stop], seen)
+        if new is None:
+            return start
+        data[start:stop] = repeat(None, len(new))  # the rows go as their records come
+        records.extend(new)
+    return None
+
+
+def _csv_rows(handle, done: int = 0):
+    """(where, fields) per data line past line ``done``; a ValueError stands in
+    for a malformed row."""
     reader = csv.reader(handle)
     header: list[str] | None = None
     try:
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue  # provenance comments and blank lines
+            if header is not None and reader.line_num <= done:
+                continue  # read by the bulk check
             cells = [cell.strip() for cell in row]
             if header is None:
                 header = _check_header(cells, reader.line_num)
@@ -325,11 +372,12 @@ def _csv_rows(handle):
         raise CurveDataError(["line 1: missing header row"])
 
 
-def _json_rows(data: list):
-    """(where, fields) per array element; a ValueError stands in for a malformed row."""
+def _json_rows(data: list, done: int = 0):
+    """(where, fields) per array element from index ``done``; a ValueError
+    stands in for a malformed row."""
     allowed = set(_COLUMNS)
-    for i, item in enumerate(data):
-        data[i] = None  # drop each parsed row once read, so rows and records never all coexist
+    for i in range(done, len(data)):
+        item, data[i] = data[i], None  # drop each row once read, so rows and records never all coexist
         if not isinstance(item, dict):
             item = ValueError("expected an object")
         elif unknown := set(item) - allowed:
@@ -337,11 +385,10 @@ def _json_rows(data: list):
         yield f"row {i}", item
 
 
-def _row_loop(rows) -> list[CurveRecord]:
-    """The records of every row, or one CurveDataError naming every bad row."""
+def _row_loop(rows, records: list[CurveRecord], seen: set[str]) -> None:
+    """Add the record of every row to records, or raise one CurveDataError
+    naming every bad row."""
     problems: list[str] = []
-    records: list[CurveRecord] = []
-    seen: set[str] = set()
     for where, fields in rows:
         try:
             if isinstance(fields, ValueError):
@@ -351,7 +398,6 @@ def _row_loop(rows) -> list[CurveRecord]:
             problems.append(f"{where}: {exc}")
     if problems:
         raise CurveDataError(problems)
-    return records
 
 
 def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
@@ -360,26 +406,28 @@ def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
     CSV needs a header row ``label,rank,sha_order[,torsion_order][,conductor]``;
     lines starting with ``#`` are treated as comments.  JSON is an array of
     objects with the same keys.  Either file may start with a UTF-8 byte-order
-    mark.  A bulk check reads a clean file; any other file goes through one
-    row loop, so all rows must parse; otherwise a CurveDataError carrying
-    every line-numbered problem is raised.  A file with no data rows warns at
+    mark.  A bulk check reads clean chunks of rows; from the first other
+    chunk on, one row loop reads the file, so all rows must parse; otherwise
+    a CurveDataError carrying every line-numbered problem is raised.  A file with no data rows warns at
     the caller's line.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
     # csv wants newline=""; JSON keeps universal newlines for its error line numbers
     newline = "" if format == "csv" else None
+    records: list[CurveRecord] = []
+    seen: set[str] = set()
     with _collector_paused(), open(path, newline=newline, encoding="utf-8-sig") as handle:
         if format == "csv":
-            records = _csv_bulk(handle)
-            if records is None:
+            done = _csv_bulk(handle, records, seen)
+            if done is not None:
                 handle.seek(0)
-                records = _row_loop(_csv_rows(handle))
+                _row_loop(_csv_rows(handle, done), records, seen)
         else:
             data = _load_json(handle)
-            records = _json_bulk(data)
-            if records is None:
-                records = _row_loop(_json_rows(data))
+            done = _json_bulk(data, records, seen)
+            if done is not None:
+                _row_loop(_json_rows(data, done), records, seen)
     if not records:
         warnings.warn(f"{path}: no data rows found", stacklevel=2)
     return records

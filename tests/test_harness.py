@@ -328,6 +328,40 @@ def test_parse_names_the_row_of_a_json_count_past_the_int_digit_limit(tmp_path, 
     assert expected.err == "" and '"violations":1,' in expected.out
 
 
+@pytest.mark.parametrize(
+    "tail,problem",
+    [
+        ("x]", "line 3: Expecting value"),
+        ("[" * 100_000 + "]" * 100_000 + "]",
+         "row 0: top-level JSON value is nested too deeply to decode"),
+    ],
+    ids=["syntax-error", "json-nesting"],
+)
+def test_cli_rejects_a_json_file_with_a_long_count_before_a_fault_it_cannot_read(
+    tmp_path, capsys, tail, problem
+):
+    # a count past the digit limit makes the decoder run twice; the second
+    # run must report what it cannot read as the first run does
+    path = tmp_path / "long-then-bad.json"
+    path.write_text(
+        '[{"label": "a", "rank": 0, "sha_order": 1},\n'
+        f'{{"label": "b", "rank": {"1" + "0" * 4300}, "sha_order": 1}},\n' + tail
+    )
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CurveDataError) as info:
+            parse_curves(str(path), format="json")
+        assert info.value.problems == [problem]
+        assert main(["validate", "--input", str(path), "--format", "json"]) == 1
+    finally:
+        sys.set_int_max_str_digits(saved)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: curve data rejected: {problem}\n"
+    assert "Traceback" not in captured.err
+
+
 # Curve files for the differential test: a clean file, which the bulk check
 # must take, with up to two faults put in.  A file with faults may go either
 # way, but parse_curves must give what the row loop alone gives.
@@ -424,34 +458,36 @@ def _outcome(path, fmt):
             return exc.problems
 
 
-def _assert_bulk_matches_the_row_loop(path, fmt, clean):
-    with mock.patch.object(harness, "_csv_bulk", return_value=None), \
-            mock.patch.object(harness, "_json_bulk", return_value=None):
-        expected = _outcome(path, fmt)
+def _assert_bulk_matches_the_row_loop(path, fmt, clean, chunk_rows=harness._CHUNK_ROWS):
+    with mock.patch.object(harness, "_csv_bulk", return_value=0), \
+            mock.patch.object(harness, "_json_bulk", return_value=0):
+        expected = _outcome(path, fmt)  # the row loop alone, from the top
     name = f"_{fmt}_bulk"
     bulk, taken = getattr(harness, name), []
 
-    def spy(arg):
-        taken.append(bulk(arg))
+    def spy(*args):
+        taken.append(bulk(*args))
         return taken[0]
 
-    with mock.patch.object(harness, name, spy):
+    with mock.patch.object(harness, name, spy), mock.patch.object(harness, "_CHUNK_ROWS", chunk_rows):
         assert _outcome(path, fmt) == expected
-    if clean:  # a clean file is read in bulk
-        assert taken[0] is not None
+    if clean:  # a clean file is read in bulk to its end
+        assert taken[0] is None
 
 
 @given(
     case=st.one_of(_csv_files().map(lambda c: ("csv", *c)), _json_files().map(lambda c: ("json", *c))),
     bom=st.booleans(),
+    chunk_rows=st.sampled_from([1, 2, harness._CHUNK_ROWS]),
 )
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_bulk_check_gives_what_the_row_loop_gives(tmp_path, case, bom):
+def test_bulk_check_gives_what_the_row_loop_gives(tmp_path, case, bom, chunk_rows):
+    # with small chunks, the row loop takes over after clean chunks were read
     fmt, text, clean = case
     path = tmp_path / f"curves.{fmt}"
     path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
-    _assert_bulk_matches_the_row_loop(path, fmt, clean)
+    _assert_bulk_matches_the_row_loop(path, fmt, clean, chunk_rows)
 
 
 @pytest.mark.parametrize(
@@ -494,34 +530,93 @@ def test_bulk_check_gives_what_the_row_loop_gives_on_each_fault(tmp_path, fmt, b
     header = "label,rank,sha_order,torsion_order,conductor\n" if fmt == "csv" else ""
     path.write_text(header + body + "\n", encoding="utf-8")
     _assert_bulk_matches_the_row_loop(path, fmt, clean)
+    # the same fault after a chunk of one clean row that the bulk check reads
+    if fmt == "csv":
+        path.write_text(header + "z,0,1,,\n" + body + "\n", encoding="utf-8")
+    else:
+        path.write_text('[{"label": "z", "rank": 0, "sha_order": 1},' + body[1:] + "\n",
+                        encoding="utf-8")
+    _assert_bulk_matches_the_row_loop(path, fmt, clean, chunk_rows=1)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_bulk_check_reads_the_bundled_fixtures(fmt):
     newline = "" if fmt == "csv" else None
+    records: list[CurveRecord] = []
     with open(FIXTURES / f"curves.{fmt}", newline=newline, encoding="utf-8-sig") as handle:
         if fmt == "csv":
-            records = harness._csv_bulk(handle)
+            done = harness._csv_bulk(handle, records, set())
         else:
-            records = harness._json_bulk(harness._load_json(handle))
+            done = harness._json_bulk(harness._load_json(handle), records, set())
+    assert done is None
     assert records == parse_curves(str(FIXTURES / f"curves.{fmt}"), format=fmt)
     assert len(records) == 6
 
 
+def _many_rows(n):
+    return [CurveRecord(f"c{i}", i % 3, (1 + i % 3) ** 2, None, i + 1) for i in range(n)]
+
+
 def test_bulk_check_reads_a_csv_file_longer_than_one_chunk(tmp_path):
-    n = 2 * harness._CSV_CHUNK_ROWS + 3
+    n = 2 * harness._CHUNK_ROWS + 3
     path = tmp_path / "many.csv"
     path.write_text("label,rank,sha_order,conductor\n"
                     + "".join(f"c{i},{i % 3},{(1 + i % 3) ** 2},{i + 1}\n" for i in range(n)))
+    records: list[CurveRecord] = []
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        records = harness._csv_bulk(handle)
-    assert records == [CurveRecord(f"c{i}", i % 3, (1 + i % 3) ** 2, None, i + 1) for i in range(n)]
-    # a duplicate label in a later chunk sends the file to the row loop
+        assert harness._csv_bulk(handle, records, set()) is None
+    assert records == _many_rows(n)
+    # a duplicate label in a later chunk sends that chunk to the row loop
     with open(path, "a") as handle:
         handle.write("c0,0,1,1\n")
     with pytest.raises(CurveDataError) as info:
         parse_curves(str(path))
     assert info.value.problems == [f"line {n + 2}: duplicate label 'c0'"]
+
+
+def test_bulk_check_reads_past_a_chunk_of_blank_lines(tmp_path):
+    # blank lines fill whole chunks here; the rows after them are still read
+    path = tmp_path / "gaps.csv"
+    path.write_text("label,rank,sha_order\na,0,1\n" + "\n" * (2 * harness._CHUNK_ROWS)
+                    + "b,1,4\n")
+    expected = [CurveRecord("a", 0, 1), CurveRecord("b", 1, 4)]
+    records: list[CurveRecord] = []
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        assert harness._csv_bulk(handle, records, set()) is None
+    assert records == expected
+    assert parse_curves(str(path)) == expected
+    _assert_bulk_matches_the_row_loop(path, "csv", clean=True)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("last", ["signed", "bad"])
+def test_row_loop_reads_only_from_the_chunk_the_bulk_check_refuses(tmp_path, fmt, last):
+    # a file refused in its last chunk costs that chunk's rows in the row loop,
+    # not a second read of every row
+    n = 2 * harness._CHUNK_ROWS + 3
+    records = _many_rows(n)
+    rank = {"signed": f"+{records[-1].rank}", "bad": "-1"}[last]
+    path = tmp_path / f"late.{fmt}"
+    if fmt == "csv":
+        rows = [f"{r.label},{r.rank},{r.sha_order},{r.conductor}" for r in records]
+        rows[-1] = f"{records[-1].label},{rank},{records[-1].sha_order},{records[-1].conductor}"
+        path.write_text("label,rank,sha_order,conductor\n" + "\n".join(rows) + "\n")
+        where = f"line {n + 1}"
+    else:
+        rows = [{"label": r.label, "rank": r.rank, "sha_order": r.sha_order, "conductor": r.conductor}
+                for r in records]
+        rows[-1]["rank"] = rank
+        path.write_text(json.dumps(rows))
+        where = f"row {n - 1}"
+    build = harness._build_record
+    with mock.patch.object(harness, "_build_record", side_effect=build) as spy:
+        if last == "signed":
+            assert parse_curves(str(path), format=fmt) == records
+        else:
+            with pytest.raises(CurveDataError) as info:
+                parse_curves(str(path), format=fmt)
+            assert info.value.problems == [f"{where}: rank must be >= 0, got -1"]
+    assert spy.call_count == n - 2 * harness._CHUNK_ROWS
 
 
 def test_curve_records_have_slots():
