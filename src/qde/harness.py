@@ -400,6 +400,20 @@ def _row_loop(rows, records: list[CurveRecord], seen: set[str]) -> None:
         raise CurveDataError(problems)
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> CurveDataError:
+    """The error for a file that is not UTF-8 text, naming the line of its
+    first undecodable byte (the reader's error counts bytes from the start of
+    the block it was decoding, not of the file)."""
+    with open(path, "rb") as raw:
+        data = raw.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    line = data.count(b"\n", 0, exc.start) + 1
+    return CurveDataError([f"line {line}: not UTF-8 text ({exc.reason})"])
+
+
 def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
     """Read curve records from a CSV or JSON file.
 
@@ -417,17 +431,20 @@ def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
     newline = "" if format == "csv" else None
     records: list[CurveRecord] = []
     seen: set[str] = set()
-    with _collector_paused(), open(path, newline=newline, encoding="utf-8-sig") as handle:
-        if format == "csv":
-            done = _csv_bulk(handle, records, seen)
-            if done is not None:
-                handle.seek(0)
-                _row_loop(_csv_rows(handle, done), records, seen)
-        else:
-            data = _load_json(handle)
-            done = _json_bulk(data, records, seen)
-            if done is not None:
-                _row_loop(_json_rows(data, done), records, seen)
+    try:
+        with _collector_paused(), open(path, newline=newline, encoding="utf-8-sig") as handle:
+            if format == "csv":
+                done = _csv_bulk(handle, records, seen)
+                if done is not None:
+                    handle.seek(0)
+                    _row_loop(_csv_rows(handle, done), records, seen)
+            else:
+                data = _load_json(handle)
+                done = _json_bulk(data, records, seen)
+                if done is not None:
+                    _row_loop(_json_rows(data, done), records, seen)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if not records:
         warnings.warn(f"{path}: no data rows found", stacklevel=2)
     return records

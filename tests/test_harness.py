@@ -296,6 +296,26 @@ def test_cli_rejects_a_file_its_reader_cannot_read_without_a_traceback(
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_rejects_a_file_that_is_not_utf8_with_its_line(tmp_path, capsys, fmt):
+    # a UnicodeDecodeError used to escape with a byte offset and no line;
+    # the bad byte sits past the reader's first block of decoded text
+    good = ("label,rank,sha_order\n" + "".join(f"c{i},0,1\n" for i in range(3000))
+            if fmt == "csv" else
+            "[" + ",\n".join(f'{{"label": "c{i}", "rank": 0, "sha_order": 1}}' for i in range(3000)))
+    bad = b"\n\xe9,0,1\n" if fmt == "csv" else b',\n{"label": "\xe9", "rank": 0, "sha_order": 1}]'
+    path = tmp_path / f"latin1.{fmt}"
+    path.write_bytes(b"\xef\xbb\xbf" + good.encode() + bad)
+    problem = f"line {good.count(chr(10)) + 2}: not UTF-8 text (invalid continuation byte)"
+    with pytest.raises(CurveDataError) as info:
+        parse_curves(str(path), format=fmt)
+    assert info.value.problems == [problem]
+    assert main(["validate", "--input", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: curve data rejected: {problem}\n"
+
+
 def test_parse_names_the_row_of_a_json_count_past_the_int_digit_limit(tmp_path, capsys):
     # json.load used to raise a bare ValueError without a row; under the
     # digit limit the count is refused as the same count in CSV is
