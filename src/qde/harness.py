@@ -345,7 +345,7 @@ def _json_bulk(data: list, records: list[CurveRecord], seen: set[str]) -> int | 
     return None
 
 
-def _csv_rows(handle, done: int = 0):
+def _csv_rows(handle, done: int):
     """(where, fields) per data line past line ``done``; a ValueError stands in
     for a malformed row."""
     reader = csv.reader(handle)
@@ -372,7 +372,7 @@ def _csv_rows(handle, done: int = 0):
         raise CurveDataError(["line 1: missing header row"])
 
 
-def _json_rows(data: list, done: int = 0):
+def _json_rows(data: list, done: int):
     """(where, fields) per array element from index ``done``; a ValueError
     stands in for a malformed row."""
     allowed = set(_COLUMNS)
