@@ -12,7 +12,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 from math import gcd, isqrt
 
 from .errors import (
@@ -484,12 +484,9 @@ def gl2z_equivalent(t1: QuadraticIrrational, t2: QuadraticIrrational) -> bool:
         raise FieldMismatchError(
             f"values live in different fields Q(sqrt({t1.D})) and Q(sqrt({t2.D}))"
         )
-    per1 = cf_expand(t1).period
-    per2 = cf_expand(t2).period
-    if len(per1) != len(per2):
-        return False
-    k = len(per2)
-    return any(per2[i:] + per2[:i] == per1 for i in range(k))
+    text1, text2 = ("".join(f"{a:x}," for a in cf_expand(t).period) for t in (t1, t2))
+    # of equal length, a comma-led match in text2 twice over is a rotation
+    return len(text1) == len(text2) and "," + text1 in "," + text2 * 2
 
 
 # ---------------------------------------------------------------------------
@@ -506,26 +503,28 @@ def fundamental_unit(D: int) -> tuple[QuadraticInteger, int]:
     p - q*conj(omega) for a convergent p/q of omega, and the candidate of
     convergent k has norm +-Q_{k+1}/Q_0.  So the first candidate of norm +-1
     is the one at the first step where Q returns to Q_0, the end of the
-    period; it is built once and its norm and size are checked exactly.
+    period that cf_expand walks.  _convergent_matrix builds it once from the
+    quotients up to there, and its norm and size are checked exactly.
+
+    >>> print(*fundamental_unit(10))
+    3 + 1*sqrt(10) -1
     """
     _check_radicand(D)
     d = _field_discriminant(D)
     t = d & 1
-    Q0 = 1 + t
+    cf = cf_expand(QuadraticIrrational(t, 1, 1 + t, D))
+    k = len(cf.period)
     # log(epsilon) < sqrt(d)*(log(d)/2 + 1) for the field discriminant d (Hua)
     # and q_k >= Fibonacci(k + 1), so the period is shorter than this limit
     limit = (isqrt(d) + 1) * (d.bit_length() + 3)
-    p, p1, q, q1 = 1, 0, 0, 1
-    for a, _, Q in islice(_pq_steps(t, Q0, D), limit):
-        p, p1 = a * p + p1, p
-        q, q1 = a * q + q1, q
-        if Q == Q0:
-            unit = QuadraticInteger(p - t * q, q, D)
-            norm = unit.norm()
-            if norm not in (1, -1) or not unit.exceeds_one():
-                raise InvariantError(f"the period end for D={D} is not a unit > 1")
-            return unit, norm
-    raise InvariantError(f"no unit found within {limit} convergents for D={D}")
+    if k > limit:
+        raise InvariantError(f"no unit found within {limit} convergents for D={D}")
+    p, _, q, _ = _convergent_matrix((cf.preperiod + cf.period)[:k])
+    unit = QuadraticInteger(p - t * q, q, D)
+    norm = unit.norm()
+    if norm not in (1, -1) or not unit.exceeds_one():
+        raise InvariantError(f"the period end for D={D} is not a unit > 1")
+    return unit, norm
 
 
 # ---------------------------------------------------------------------------

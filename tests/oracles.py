@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths of the package under test:
 continued fractions run on a Mobius-transform state instead of the (P, Q)
 recurrence, and long periods on a full walk of that recurrence without the
-half-period mirror; units come from a raw Pell-style coordinate scan or from
-a norm test at every convergent instead of the end of the period, the conductor
+half-period mirror; units come from a raw Pell-style coordinate scan, from
+a norm test at every convergent instead of the end of the period, or from a
+full period walk with the convergents extended step by step, the conductor
 formula runs in rationals, reduced forms come from a direct double loop over
 form coefficients, narrow and wide classes from the rho reduction step on
 signed forms and composition with the negated principal form, class numbers
@@ -125,6 +126,31 @@ def cf_expand_full_walk(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tu
         Q, rem = divmod(N - P * P, Q)
         assert rem == 0
     return tuple(quotients[:start]), tuple(quotients[start:])
+
+
+def unit_by_period_walk(D: int) -> tuple[int, int, int]:
+    """The fundamental unit (x, y, norm) at the first return of Q to Q_0.
+
+    Walks the (P, Q) recurrence of omega = (t + sqrt(D))/Q_0, Q_0 = 1 + t, in
+    full and extends the convergents p/q by one quotient per step; at the
+    first step where Q is Q_0 again it returns x + y*omega = p - q*conj(omega).
+    No half-period mirror and no convergent product.
+    """
+    t = 1 if D % 4 == 1 else 0
+    n = (1 - D) // 4 if t else -D
+    s = isqrt(D)
+    P, Q = t, 1 + t
+    p, p1, q, q1 = 1, 0, 0, 1
+    while True:
+        a = (P + s) // Q
+        p, p1 = a * p + p1, p
+        q, q1 = a * q + q1, q
+        P = a * Q - P
+        Q, rem = divmod(D - P * P, Q)
+        assert rem == 0
+        if Q == 1 + t:
+            x, y = p - t * q, q
+            return x, y, x * x + t * x * y + n * y * y
 
 
 def smallest_unit_reference(D: int, y_cap: int):

@@ -18,6 +18,7 @@ from oracles import (
     smallest_unit_reference,
     squarefree_up_to,
     unit_by_norm_scan,
+    unit_by_period_walk,
 )
 from qde.classgroup import _class_data, class_number_maximal
 from qde.errors import FieldMismatchError, InvariantError, ParseError, RationalValueError
@@ -435,6 +436,33 @@ def test_fundamental_unit_matches_norm_scan():
         assert (unit.x, unit.y, norm) == unit_by_norm_scan(D), D
 
 
+def test_fundamental_unit_matches_the_linear_period_walk():
+    # the unit read off cf_expand's period through _convergent_matrix is the
+    # one a full walk of the (P, Q) recurrence meets at the first return of Q
+    large = [9999907, 10000139, 10000019, 30030, 7000003, 4000037, 99999989, 1000000007]
+    for D in squarefree_up_to(3000) + large:
+        unit, norm = fundamental_unit(D)
+        assert (unit.x, unit.y, norm) == unit_by_period_walk(D), D
+
+
+@pytest.mark.parametrize(
+    "cf,message",
+    [
+        # D = 2 allows (isqrt(8) + 1) * ((8).bit_length() + 3) = 21 convergents
+        (
+            ContinuedFraction((1,), tuple(range(1, 23))),
+            r"^no unit found within 21 convergents for D=2$",
+        ),
+        # the convergent 2/1 gives 2 + sqrt(2), of norm 2
+        (ContinuedFraction((2,), (1,)), r"^the period end for D=2 is not a unit > 1$"),
+    ],
+)
+def test_fundamental_unit_fault_checks(monkeypatch, cf, message):
+    monkeypatch.setattr(quadratic, "cf_expand", lambda theta: cf)
+    with pytest.raises(InvariantError, match=message):
+        fundamental_unit.__wrapped__(2)
+
+
 def test_quadratic_integer_arithmetic():
     assert QuadraticInteger(1, 1, 2).norm() == -1
     assert QuadraticInteger(3, 2, 2).norm() == 1
@@ -583,6 +611,30 @@ def test_gl2z_is_an_equivalence_relation(rng):
     for t1, t2, t3 in product(sample, repeat=3):
         if gl2z_equivalent(t1, t2) and gl2z_equivalent(t2, t3):
             assert gl2z_equivalent(t1, t3)
+
+
+def test_gl2z_finds_a_rotation_of_a_long_period_in_linear_time():
+    # sqrt(D) and its second complete quotient enter one cycle of 71,938
+    # quotients one step apart; a search that builds every rotation takes about 23 s
+    root = parse_theta("sqrt(100000000003)")
+    cf = cf_expand(root)
+    second = root.mobius(0, 1, 1, -cf.preperiod[0]).mobius(0, 1, 1, -cf.period[0])
+    assert len(cf.period) == 71938
+    assert cf_expand(second).period == cf.period[1:] + cf.period[:1]
+    start = time.perf_counter()
+    assert gl2z_equivalent(root, second)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_gl2z_refuses_a_reversed_period_of_equal_length():
+    # the periods are reverses, not rotations, of each other, and their hex
+    # digits run together would match: 111111113 occurs in 111131111 twice over
+    t1 = parse_theta("(2+4*sqrt(2))/51")
+    t2 = parse_theta("(1+4*sqrt(2))/51")
+    assert cf_expand(t1).period == (1, 1, 1, 17, 1, 19)
+    assert cf_expand(t2).period == (1, 1, 1, 19, 1, 17)
+    assert not gl2z_equivalent(t1, t2)
+    assert not gl2z_equivalent(t2, t1)
 
 
 def test_gl2z_mismatched_fields():
