@@ -5,20 +5,25 @@ the data source.  Validation marks a record consistent exactly when
 |Sha| = (1 + rank)**2 and aggregates the outcome per rank.  Records are never
 matched to any particular quadratic irrational.
 
-`parse_curves` reads a file in two stages.  A bulk check per format
-(`_csv_bulk`, `_json_bulk`) reads a clean file in chunks of rows, checks each
-chunk column by column with builtins and builds its records in one call.
-At the first chunk the bulk check refuses, the row loop takes over with the
-records and labels read so far: a per-format reader (`_csv_rows`,
-`_json_rows`) yields each row from there with its line or row number,
-`_build_record` checks it, and every bad row's problem is collected before
-one CurveDataError is raised.  The row loop is the reference: the bulk check
-takes only rows the loop accepts, and builds the same records.  A UTF-8
-byte-order mark is accepted in either format, and the warning for a file
-without data rows names the line that called `parse_curves`.
+`parse_curves` reads a file once, in chunks of rows.  One reader per format
+(`_csv_chunks`, `_json_chunks`) yields each chunk with the line or row number
+of every row.  A bulk check per format (`_csv_chunk`, `_json_chunk`) takes a
+clean chunk column by column with builtins and builds its records in one
+call; `CurveRecord` makes every type and range check.  The rows of a chunk the
+bulk check refuses go one by one to `_build_record`, which names each bad
+row's problem, and the next chunk goes back to the bulk check.  Every problem
+is collected before one CurveDataError is raised.  Row by row is the
+reference: the bulk check takes only rows `_build_record` accepts, and builds
+the same records.  A UTF-8 byte-order mark is accepted in either format, and
+the warning for a file without data rows names the line that called
+`parse_curves`.
 
-Both `parse_curves` and `validate` pause the cyclic collector while they
-build objects: those hold only str, int and None, so they make no cycles.
+Both `parse_curves` and `validate` set two process-wide switches while they
+run, and set them back afterwards.  They pause the cyclic collector while
+they build objects: those hold only str, int and None, so they make no
+cycles.  And they cap int conversion at 4,300 digits, whatever the caller's
+limit, so a long count is refused at once instead of converted in time
+quadratic in its length.
 """
 
 from __future__ import annotations
@@ -26,12 +31,15 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, repeat
 
 from .errors import CurveDataError
+from .quadratic import _MAX_DIGITS
 
 __all__ = ["CurveRecord", "ValidationReport", "parse_curves", "validate"]
 
@@ -45,7 +53,7 @@ _LAYOUTS = [
     list(_BASE_COLUMNS) + ["conductor"],
     list(_BASE_COLUMNS) + list(_OPTIONAL_COLUMNS),
 ]
-_CHUNK_ROWS = 8192  # rows the bulk check holds at once
+_CHUNK_ROWS = 8192  # rows read and checked at once
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,26 +136,22 @@ class ValidationReport:
 
 
 @contextmanager
-def _collector_paused():
-    """Pause the cyclic collector for the block; restore it only if it ran before."""
+def _process_switches():
+    """Pause the cyclic collector and cap int conversion at _MAX_DIGITS digits
+    for the block; restore the caller's digit limit, and the collector only if
+    it ran before."""
     enabled = gc.isenabled()
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     gc.disable()
+    if digits is not None:
+        sys.set_int_max_str_digits(_MAX_DIGITS)
     try:
         yield
     finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
         if enabled:
             gc.enable()
-
-
-def _check_header(header: list[str], line_num: int) -> list[str]:
-    if header not in _LAYOUTS:
-        raise CurveDataError(
-            [
-                f"line {line_num}: header {','.join(header)!r} is not one of the "
-                f"accepted layouts label,rank,sha_order[,torsion_order][,conductor]"
-            ]
-        )
-    return header
 
 
 def _build_record(fields: dict, seen: set[str]) -> CurveRecord:
@@ -182,8 +186,8 @@ def _build_record(fields: dict, seen: set[str]) -> CurveRecord:
 
 
 class _LongJsonInt:
-    """A JSON integer literal past ``sys.get_int_max_str_digits()``: the row
-    loop refuses it with its row, as it refuses such a count in CSV."""
+    """A JSON integer literal past the digit cap: `_build_record` refuses it
+    with its row, as it refuses such a count in CSV."""
 
     def __init__(self, text: str):
         self.text = text
@@ -213,11 +217,67 @@ def _load_json(handle) -> list:
     text = handle.read()
     try:
         data = _decode_json(text)
-    except ValueError:  # an integer literal past the digit limit; the row loop names its row
+    except ValueError:  # an integer literal past the digit cap; _build_record names its row
         data = _decode_json(text, parse_int=_json_int)
     if not isinstance(data, list):
         raise CurveDataError(["row 0: top-level JSON value must be an array of objects"])
     return data
+
+
+def _csv_header(reader) -> list[str]:
+    """The header of a CSV curve file: its first line that is neither blank
+    nor a comment."""
+    try:
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                break
+        else:
+            raise CurveDataError(["line 1: missing header row"])
+    except csv.Error as exc:
+        raise CurveDataError([f"line {reader.line_num}: {exc}"]) from None
+    header = [cell.strip() for cell in row]
+    if header not in _LAYOUTS:
+        raise CurveDataError(
+            [
+                f"line {reader.line_num}: header {','.join(header)!r} is not one of the "
+                f"accepted layouts label,rank,sha_order[,torsion_order][,conductor]"
+            ]
+        )
+    return header
+
+
+def _csv_chunks(reader):
+    """(line numbers, rows) for each chunk of CSV rows past the header.
+
+    A row the reader cannot read, like one with a cell past
+    csv.field_size_limit(), ends the file: a ValueError stands in for it, and
+    the bulk check refuses its chunk (a ValueError has no len).
+    """
+    while True:
+        numbers, rows = [], []
+        try:
+            for row in islice(reader, _CHUNK_ROWS):
+                rows.append(row)
+                numbers.append(reader.line_num)
+        except csv.Error as exc:
+            yield numbers + [reader.line_num], rows + [ValueError(str(exc))]
+            return
+        if not rows:
+            return
+        yield numbers, rows
+
+
+def _csv_fields(header: list[str], row) -> dict | None:
+    """The fields of one CSV row, or None for a blank or comment line; a bad
+    row raises ValueError."""
+    if isinstance(row, ValueError):
+        raise row
+    if not row or row[0].lstrip().startswith("#"):
+        return None  # provenance comments and blank lines
+    cells = [cell.strip() for cell in row]
+    if len(cells) != len(header):
+        raise ValueError(f"expected {len(header)} columns, found {len(cells)}")
+    return dict(zip(header, cells))
 
 
 def _csv_counts(cells: list[str], name: str) -> list[int | None] | None:
@@ -233,14 +293,16 @@ def _csv_counts(cells: list[str], name: str) -> list[int | None] | None:
     return [int(cell) if cell else None for cell in cells]
 
 
-def _csv_chunk(header: list[str], rows: list[list[str]], seen: set[str]) -> list[CurveRecord] | None:
+def _csv_chunk(header: list[str], rows: list, seen: set[str]) -> list[CurveRecord] | None:
     """The records of a clean chunk of CSV rows, or None.
 
-    Clean: rows of the header's width; labels unique here and new to seen,
-    none starting with ``#``; counts of plain ASCII digits.  CurveRecord
-    refuses an empty label or a zero count with a ValueError.  The chunk's
-    labels join seen only once its records are built.
+    Clean: rows of the header's width, blank lines aside; labels unique here
+    and new to seen, none starting with ``#``; counts of plain ASCII digits.
+    CurveRecord refuses an empty label or a zero count, and int() a count past
+    the digit cap, with a ValueError.  The chunk's labels join seen only once
+    its records are built.
     """
+    rows = list(filter(None, rows))  # blank lines
     if set(map(len, rows)) != {len(header)}:
         return None
     cells = {name: list(map(str.strip, column)) for name, column in zip(header, zip(*rows))}
@@ -261,143 +323,42 @@ def _csv_chunk(header: list[str], rows: list[list[str]], seen: set[str]) -> list
     return records
 
 
-def _csv_bulk(handle, records: list[CurveRecord], seen: set[str]) -> int | None:
-    """Read a CSV file's clean chunks of rows into records, and their labels into seen.
+def _json_chunks(data: list):
+    """(row numbers, rows) for each chunk of a JSON array."""
+    for start in range(0, len(data), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        rows = data[start:stop]
+        data[start:stop] = repeat(None, len(rows))  # the rows go as their records come
+        yield range(start, stop), rows
 
-    Returns None once the whole file is read.  Otherwise returns the number of
-    the last line before the first chunk that is not clean (0 before a known
-    header), and the row loop reads the file past it.  A ValueError, like an
-    int past the digit limit, or a csv.Error also ends the bulk check there.
-    Only one chunk of cells is held at a time.
-    """
-    reader = csv.reader(handle)
-    done = 0
-    try:
-        for row in reader:
-            if row and not row[0].lstrip().startswith("#"):
-                break
-        else:
-            return 0
-        header = [cell.strip() for cell in row]
-        if header not in _LAYOUTS:
-            return 0
-        while True:
-            done = reader.line_num
-            chunk = list(islice(reader, _CHUNK_ROWS))
-            if not chunk:
-                return None
-            rows = list(filter(None, chunk))  # blank lines
-            if rows:
-                new = _csv_chunk(header, rows, seen)
-                if new is None:
-                    return done
-                records.extend(new)
-    except (ValueError, csv.Error):
-        return done
+
+def _json_fields(item) -> dict:
+    """The fields of one JSON row; a row that is not an object of known keys
+    raises ValueError."""
+    if not isinstance(item, dict):
+        raise ValueError("expected an object")
+    if unknown := set(item).difference(_COLUMNS):
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    return item
 
 
 def _json_chunk(rows: list, seen: set[str]) -> list[CurveRecord] | None:
     """The records of a clean chunk of JSON rows, or None.
 
-    Clean: objects with known keys only; nonempty str labels, unique here and
-    new to seen; int counts (no bool) within their bounds, the optional ones
-    int or null.  The chunk's labels join seen once its records are built.
+    Clean: objects with known keys only, whose values CurveRecord takes (it
+    raises TypeError or ValueError on any other), with labels unique here and
+    new to seen.  The chunk's labels join seen once its records are built.
     """
     if set(map(type, rows)) != {dict} or not set().union(*rows) <= set(_COLUMNS):
         return None
     labels = list(map(dict.get, rows, repeat("label")))
-    if set(map(type, labels)) != {str} or not all(labels):
-        return None
-    new = set(labels)
+    columns = (map(dict.get, rows, repeat(name)) for name in _COUNT_COLUMNS)
+    records = list(map(CurveRecord, labels, *columns))
+    new = set(labels)  # every label is a str once its record is built
     if len(new) != len(labels) or not seen.isdisjoint(new):
         return None
-    counts = []
-    for name in _COUNT_COLUMNS:
-        column = list(map(dict.get, rows, repeat(name)))
-        types = set(map(type, column))
-        floor = 0 if name == "rank" else 1
-        if name in _BASE_COLUMNS:
-            clean = types == {int} and min(column) >= floor
-        else:  # None is a missing count; a set of the values could outgrow the file's text
-            clean = types <= {int, type(None)} and 0 not in column
-            clean = clean and min(filter(None, column), default=floor) >= floor
-        if not clean:
-            return None
-        counts.append(column)
-    records = list(map(CurveRecord, labels, *counts))
     seen.update(new)
     return records
-
-
-def _json_bulk(data: list, records: list[CurveRecord], seen: set[str]) -> int | None:
-    """Read a JSON array's clean chunks of rows into records, and their labels into seen.
-
-    Returns None once the whole array is read, or else the index of the first
-    row of the first chunk that is not clean: the row loop reads from there.
-    """
-    for start in range(0, len(data), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        new = _json_chunk(data[start:stop], seen)
-        if new is None:
-            return start
-        data[start:stop] = repeat(None, len(new))  # the rows go as their records come
-        records.extend(new)
-    return None
-
-
-def _csv_rows(handle, done: int):
-    """(where, fields) per data line past line ``done``; a ValueError stands in
-    for a malformed row."""
-    reader = csv.reader(handle)
-    header: list[str] | None = None
-    try:
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue  # provenance comments and blank lines
-            if header is not None and reader.line_num <= done:
-                continue  # read by the bulk check
-            cells = [cell.strip() for cell in row]
-            if header is None:
-                header = _check_header(cells, reader.line_num)
-            elif len(cells) != len(header):
-                yield f"line {reader.line_num}", ValueError(
-                    f"expected {len(header)} columns, found {len(cells)}"
-                )
-            else:
-                yield f"line {reader.line_num}", dict(zip(header, cells))
-    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit(); reading stops here
-        yield f"line {reader.line_num}", ValueError(str(exc))
-        return
-    if header is None:
-        raise CurveDataError(["line 1: missing header row"])
-
-
-def _json_rows(data: list, done: int):
-    """(where, fields) per array element from index ``done``; a ValueError
-    stands in for a malformed row."""
-    allowed = set(_COLUMNS)
-    for i in range(done, len(data)):
-        item, data[i] = data[i], None  # drop each row once read, so rows and records never all coexist
-        if not isinstance(item, dict):
-            item = ValueError("expected an object")
-        elif unknown := set(item) - allowed:
-            item = ValueError(f"unknown keys {sorted(unknown)}")
-        yield f"row {i}", item
-
-
-def _row_loop(rows, records: list[CurveRecord], seen: set[str]) -> None:
-    """Add the record of every row to records, or raise one CurveDataError
-    naming every bad row."""
-    problems: list[str] = []
-    for where, fields in rows:
-        try:
-            if isinstance(fields, ValueError):
-                raise fields
-            records.append(_build_record(fields, seen))
-        except ValueError as exc:
-            problems.append(f"{where}: {exc}")
-    if problems:
-        raise CurveDataError(problems)
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> CurveDataError:
@@ -420,10 +381,12 @@ def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
     CSV needs a header row ``label,rank,sha_order[,torsion_order][,conductor]``;
     lines starting with ``#`` are treated as comments.  JSON is an array of
     objects with the same keys.  Either file may start with a UTF-8 byte-order
-    mark.  A bulk check reads clean chunks of rows; from the first other
-    chunk on, one row loop reads the file, so all rows must parse; otherwise
-    a CurveDataError carrying every line-numbered problem is raised.  A file with no data rows warns at
-    the caller's line.
+    mark.  The file is read once, in chunks of rows: a bulk check takes each
+    clean chunk, and the rows of any other chunk are checked one by one.  All
+    rows must parse; otherwise a CurveDataError carrying every line-numbered
+    problem is raised.  A count of more than 4,300 digits is refused, whatever
+    the caller's int digit limit.  A file with no data rows warns at the
+    caller's line.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
@@ -431,20 +394,35 @@ def parse_curves(path: str, format: str = "csv") -> list[CurveRecord]:
     newline = "" if format == "csv" else None
     records: list[CurveRecord] = []
     seen: set[str] = set()
+    problems: list[str] = []
     try:
-        with _collector_paused(), open(path, newline=newline, encoding="utf-8-sig") as handle:
+        with _process_switches(), open(path, newline=newline, encoding="utf-8-sig") as handle:
             if format == "csv":
-                done = _csv_bulk(handle, records, seen)
-                if done is not None:
-                    handle.seek(0)
-                    _row_loop(_csv_rows(handle, done), records, seen)
+                reader = csv.reader(handle)
+                header = _csv_header(reader)
+                chunks, where = _csv_chunks(reader), "line"
+                bulk, fields_of = partial(_csv_chunk, header), partial(_csv_fields, header)
             else:
-                data = _load_json(handle)
-                done = _json_bulk(data, records, seen)
-                if done is not None:
-                    _row_loop(_json_rows(data, done), records, seen)
+                chunks, where = _json_chunks(_load_json(handle)), "row"
+                bulk, fields_of = _json_chunk, _json_fields
+            for numbers, rows in chunks:
+                try:  # CurveRecord and int() refuse a bad value, len() the reader's error
+                    new = bulk(rows, seen)
+                except (TypeError, ValueError):
+                    new = None
+                if new is not None:
+                    records.extend(new)
+                    continue
+                for number, row in zip(numbers, rows):
+                    try:
+                        if (fields := fields_of(row)) is not None:
+                            records.append(_build_record(fields, seen))
+                    except ValueError as exc:
+                        problems.append(f"{where} {number}: {exc}")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    if problems:
+        raise CurveDataError(problems)
     if not records:
         warnings.warn(f"{path}: no data rows found", stacklevel=2)
     return records
@@ -456,7 +434,7 @@ def validate(records, jobs: int = 1) -> ValidationReport:
     The check is one comparison per record and always runs serially; jobs
     (at least 1) is accepted for compatibility and does not change the report.
     """
-    with _collector_paused():
+    with _process_switches():
         records = list(records)
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")

@@ -268,31 +268,35 @@ def test_parse_refuses_counts_that_are_not_ascii_base_10(tmp_path, capsys, fmt, 
 
 
 @pytest.mark.parametrize(
-    "name,text,problem",
+    "name,text,problems",
     [
         # csv.Error used to escape as a traceback
         ("long.csv", "label,rank,sha_order\na,0,1\nb," + "1" * 131_073 + ",1\n",
-         "line 3: field larger than field limit (131072)"),
+         ["line 3: field larger than field limit (131072)"]),
+        # the rows read before the reader's error are still checked
+        ("bad-then-long.csv", "label,rank,sha_order\na,x,1\nb," + "1" * 131_073 + ",1\n",
+         ["line 2: column 'rank' is not a base-10 integer: 'x'",
+          "line 3: field larger than field limit (131072)"]),
         # RecursionError used to escape as a traceback
         ("deep.json", '[{"label": "a", "rank": 0, "sha_order": 1},\n'
          + "[" * 100_000 + "]" * 100_000 + "]",
-         "row 0: top-level JSON value is nested too deeply to decode"),
+         ["row 0: top-level JSON value is nested too deeply to decode"]),
     ],
-    ids=["csv-field-limit", "json-nesting"],
+    ids=["csv-field-limit", "csv-field-limit-after-a-bad-row", "json-nesting"],
 )
 def test_cli_rejects_a_file_its_reader_cannot_read_without_a_traceback(
-    tmp_path, capsys, name, text, problem
+    tmp_path, capsys, name, text, problems
 ):
     path = tmp_path / name
     path.write_text(text)
     fmt = name.rsplit(".", 1)[1]
     with pytest.raises(CurveDataError) as info:
         parse_curves(str(path), format=fmt)
-    assert info.value.problems == [problem]
+    assert info.value.problems == problems
     assert main(["validate", "--input", str(path), "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: curve data rejected: {problem}\n"
+    assert captured.err == f"error: curve data rejected: {'; '.join(problems)}\n"
     assert "Traceback" not in captured.err
 
 
@@ -317,8 +321,9 @@ def test_cli_rejects_a_file_that_is_not_utf8_with_its_line(tmp_path, capsys, fmt
 
 
 def test_parse_names_the_row_of_a_json_count_past_the_int_digit_limit(tmp_path, capsys):
-    # json.load used to raise a bare ValueError without a row; under the
-    # digit limit the count is refused as the same count in CSV is
+    # json.load used to raise a bare ValueError without a row; the count is
+    # refused as the same count in CSV is, whatever the caller's digit limit,
+    # and so the CLI, which lifts that limit while it runs, refuses it too
     digits = "1" + "0" * 4300
     csv_path, json_path = tmp_path / "big.csv", tmp_path / "big.json"
     csv_path.write_text(f"label,rank,sha_order\na,0,1\nb,{digits},1\n")
@@ -327,25 +332,43 @@ def test_parse_names_the_row_of_a_json_count_past_the_int_digit_limit(tmp_path, 
         f'{{"label": "b", "rank": {digits}, "sha_order": 1}}]'
     )
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
     try:
-        for path, fmt, problem in (
-            (csv_path, "csv", f"line 3: column 'rank' is not a base-10 integer: {digits!r}"),
-            (json_path, "json", f"row 1: column 'rank' is not a base-10 integer: {digits}"),
-        ):
-            with pytest.raises(CurveDataError) as info:
-                parse_curves(str(path), format=fmt)
-            assert info.value.problems == [problem]
-        # the CLI lifts the limit while it runs, so it reads the count, and
-        # both formats give one report
-        assert main(["validate", "--input", str(csv_path), "--json"]) == 0
-        expected = capsys.readouterr()
-        assert main(["validate", "--input", str(json_path), "--format", "json", "--json"]) == 0
-        assert capsys.readouterr() == expected
-        assert sys.get_int_max_str_digits() == 4300
+        for limit in (4300, 0):
+            sys.set_int_max_str_digits(limit)
+            for path, fmt, problem in (
+                (csv_path, "csv", f"line 3: column 'rank' is not a base-10 integer: {digits!r}"),
+                (json_path, "json", f"row 1: column 'rank' is not a base-10 integer: {digits}"),
+            ):
+                with pytest.raises(CurveDataError) as info:
+                    parse_curves(str(path), format=fmt)
+                assert info.value.problems == [problem]
+                assert main(["validate", "--input", str(path), "--format", fmt, "--json"]) == 1
+                assert capsys.readouterr() == ("", f"error: curve data rejected: {problem}\n")
+                assert sys.get_int_max_str_digits() == limit
     finally:
         sys.set_int_max_str_digits(saved)
-    assert expected.err == "" and '"violations":1,' in expected.out
+
+
+def test_cli_refuses_a_count_of_400000_digits_at_once(tmp_path, capsys):
+    # the CLI lifts the digit limit to print big results; such a count used to
+    # be converted in time quadratic in its length (3.9 s), and exit 0
+    path = tmp_path / "long.json"
+    path.write_text('[{"label": "a", "rank": 0, "sha_order": ' + "1" * 400_000 + "}]")
+    problem = "row 0: column 'sha_order' is not a base-10 integer"
+    start = time.perf_counter()
+    assert main(["validate", "--input", str(path), "--format", "json"]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: curve data rejected: {problem}")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(CurveDataError) as info:
+            parse_curves(str(path), format="json")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert info.value.problems == [f"{problem}: {'1' * 400_000}"]
 
 
 @pytest.mark.parametrize(
@@ -478,21 +501,24 @@ def _outcome(path, fmt):
             return exc.problems
 
 
+def _row_by_row(path, fmt):
+    """The outcome with every chunk refused by the bulk check: the reference."""
+    with mock.patch.object(harness, "_csv_chunk", return_value=None), \
+            mock.patch.object(harness, "_json_chunk", return_value=None):
+        return _outcome(path, fmt)
+
+
+def _spy_on_rows():
+    """A patch that counts the rows checked one by one."""
+    return mock.patch.object(harness, "_build_record", side_effect=harness._build_record)
+
+
 def _assert_bulk_matches_the_row_loop(path, fmt, clean, chunk_rows=harness._CHUNK_ROWS):
-    with mock.patch.object(harness, "_csv_bulk", return_value=0), \
-            mock.patch.object(harness, "_json_bulk", return_value=0):
-        expected = _outcome(path, fmt)  # the row loop alone, from the top
-    name = f"_{fmt}_bulk"
-    bulk, taken = getattr(harness, name), []
-
-    def spy(*args):
-        taken.append(bulk(*args))
-        return taken[0]
-
-    with mock.patch.object(harness, name, spy), mock.patch.object(harness, "_CHUNK_ROWS", chunk_rows):
+    expected = _row_by_row(path, fmt)
+    with _spy_on_rows() as spy, mock.patch.object(harness, "_CHUNK_ROWS", chunk_rows):
         assert _outcome(path, fmt) == expected
     if clean:  # a clean file is read in bulk to its end
-        assert taken[0] is None
+        assert spy.call_count == 0
 
 
 @given(
@@ -559,17 +585,19 @@ def test_bulk_check_gives_what_the_row_loop_gives_on_each_fault(tmp_path, fmt, b
     _assert_bulk_matches_the_row_loop(path, fmt, clean, chunk_rows=1)
 
 
+def _read_in_bulk(path, fmt="csv"):
+    """parse_curves on a file the bulk check must take to its end."""
+    with _spy_on_rows() as spy:
+        records = parse_curves(str(path), format=fmt)
+    assert spy.call_count == 0
+    return records
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_bulk_check_reads_the_bundled_fixtures(fmt):
-    newline = "" if fmt == "csv" else None
-    records: list[CurveRecord] = []
-    with open(FIXTURES / f"curves.{fmt}", newline=newline, encoding="utf-8-sig") as handle:
-        if fmt == "csv":
-            done = harness._csv_bulk(handle, records, set())
-        else:
-            done = harness._json_bulk(harness._load_json(handle), records, set())
-    assert done is None
-    assert records == parse_curves(str(FIXTURES / f"curves.{fmt}"), format=fmt)
+    path = FIXTURES / f"curves.{fmt}"
+    records = _read_in_bulk(path, fmt)
+    assert records == _row_by_row(path, fmt)
     assert len(records) == 6
 
 
@@ -582,10 +610,7 @@ def test_bulk_check_reads_a_csv_file_longer_than_one_chunk(tmp_path):
     path = tmp_path / "many.csv"
     path.write_text("label,rank,sha_order,conductor\n"
                     + "".join(f"c{i},{i % 3},{(1 + i % 3) ** 2},{i + 1}\n" for i in range(n)))
-    records: list[CurveRecord] = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        assert harness._csv_bulk(handle, records, set()) is None
-    assert records == _many_rows(n)
+    assert _read_in_bulk(path) == _many_rows(n)
     # a duplicate label in a later chunk sends that chunk to the row loop
     with open(path, "a") as handle:
         handle.write("c0,0,1,1\n")
@@ -600,12 +625,25 @@ def test_bulk_check_reads_past_a_chunk_of_blank_lines(tmp_path):
     path.write_text("label,rank,sha_order\na,0,1\n" + "\n" * (2 * harness._CHUNK_ROWS)
                     + "b,1,4\n")
     expected = [CurveRecord("a", 0, 1), CurveRecord("b", 1, 4)]
-    records: list[CurveRecord] = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        assert harness._csv_bulk(handle, records, set()) is None
-    assert records == expected
+    assert _read_in_bulk(path) == expected
     assert parse_curves(str(path)) == expected
     _assert_bulk_matches_the_row_loop(path, "csv", clean=True)
+
+
+def _write_with_a_rank(path, fmt, records, i, rank):
+    """Write records as a curve file with the rank of record i replaced by rank;
+    return where that row's problem is reported."""
+    if fmt == "csv":
+        rows = [[r.label, r.rank, r.sha_order, r.conductor] for r in records]
+        rows[i][1] = rank
+        path.write_text("label,rank,sha_order,conductor\n"
+                        + "".join(",".join(map(str, row)) + "\n" for row in rows))
+        return f"line {i + 2}"
+    rows = [{"label": r.label, "rank": r.rank, "sha_order": r.sha_order, "conductor": r.conductor}
+            for r in records]
+    rows[i]["rank"] = rank
+    path.write_text(json.dumps(rows))
+    return f"row {i}"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -617,19 +655,8 @@ def test_row_loop_reads_only_from_the_chunk_the_bulk_check_refuses(tmp_path, fmt
     records = _many_rows(n)
     rank = {"signed": f"+{records[-1].rank}", "bad": "-1"}[last]
     path = tmp_path / f"late.{fmt}"
-    if fmt == "csv":
-        rows = [f"{r.label},{r.rank},{r.sha_order},{r.conductor}" for r in records]
-        rows[-1] = f"{records[-1].label},{rank},{records[-1].sha_order},{records[-1].conductor}"
-        path.write_text("label,rank,sha_order,conductor\n" + "\n".join(rows) + "\n")
-        where = f"line {n + 1}"
-    else:
-        rows = [{"label": r.label, "rank": r.rank, "sha_order": r.sha_order, "conductor": r.conductor}
-                for r in records]
-        rows[-1]["rank"] = rank
-        path.write_text(json.dumps(rows))
-        where = f"row {n - 1}"
-    build = harness._build_record
-    with mock.patch.object(harness, "_build_record", side_effect=build) as spy:
+    where = _write_with_a_rank(path, fmt, records, n - 1, rank)
+    with _spy_on_rows() as spy:
         if last == "signed":
             assert parse_curves(str(path), format=fmt) == records
         else:
@@ -637,6 +664,23 @@ def test_row_loop_reads_only_from_the_chunk_the_bulk_check_refuses(tmp_path, fmt
                 parse_curves(str(path), format=fmt)
             assert info.value.problems == [f"{where}: rank must be >= 0, got -1"]
     assert spy.call_count == n - 2 * harness._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("first", ["signed", "bad"])
+def test_row_loop_reads_only_the_chunk_the_bulk_check_refuses(tmp_path, fmt, first):
+    # a file refused in its first chunk costs that chunk's rows in the row
+    # loop; the chunks after it go back to the bulk check
+    n = 2 * harness._CHUNK_ROWS + 3
+    records = _many_rows(n)
+    rank = {"signed": f"+{records[0].rank}", "bad": "-1"}[first]
+    path = tmp_path / f"early.{fmt}"
+    where = _write_with_a_rank(path, fmt, records, 0, rank)
+    with _spy_on_rows() as spy:
+        outcome = _outcome(path, fmt)
+    assert spy.call_count == harness._CHUNK_ROWS
+    assert outcome == _row_by_row(path, fmt)
+    assert outcome == (records if first == "signed" else [f"{where}: rank must be >= 0, got -1"])
 
 
 def test_curve_records_have_slots():
