@@ -57,6 +57,8 @@ class BinaryQuadraticForm:
     c: int
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            quadratic._check_int(name, getattr(self, name))
         _check_disc(self.discriminant)  # b^2 - 4ac is always 0 or 1 mod 4
 
     @property
@@ -390,8 +392,10 @@ class _ClassData:
     """The wide classes of one discriminant, as cycles of reduced states.
 
     Each cycle of states (P, Q) = (b, 2|c|) of reduced forms under the
-    continued-fraction recurrence is one wide class, named by its least form:
-    the minimum over its states of (-(disc - P^2)/(2Q), P, Q/2).
+    continued-fraction recurrence is one wide class, named by its least
+    reduced form with a > 0: the minimum over its states of
+    ((disc - P^2)/(2Q), P, -Q/2).  The principal form (1, b, (b^2 - disc)/4)
+    is the only reduced form with a = 1, so classes[0] is the identity.
     """
 
     disc: int
@@ -404,14 +408,6 @@ class _ClassData:
         """Wide class of the composite of x and y."""
         P, Q, _ = _reduce(_compose_raw(x, y, self.disc), self.disc, isqrt(self.disc))
         return self.wide_of[(P, Q)]
-
-    def positive_forms(self) -> list[_Form]:
-        """The least reduced form (a, b, c) with a > 0 of each wide class, sorted."""
-        least: dict[_Form, _Form] = {}
-        for (P, Q), name in self.wide_of.items():
-            form = _state_form(P, Q, -1, self.disc)
-            least[name] = min(form, least.get(name, form))
-        return sorted(least.values())
 
     @cached_property
     def structure(self) -> AbelianGroupStructure:
@@ -470,13 +466,14 @@ def _element_power(data: _ClassData, x: _Form, e: int) -> _Form:
 def _class_data(disc: int) -> _ClassData:
     """Class data of the discriminant, from the state cycles of its reduced forms.
 
-    The one object per discriminant holds the wide classes, the identity and,
-    once composed, the invariant factors.  A form and its sign twin
-    (-a, b, -c) share a state, and the state cycle through them is the union
-    of their narrow classes: one wide class.  The form cycle is twice the
-    state cycle exactly when the state cycle is odd, and then the twins are
-    narrowly equivalent.  All cycles of one discriminant have the same parity;
-    odd cycles mean narrow = wide, i.e. a unit of norm -1 in the order.
+    The one object per discriminant holds the wide classes, each named by its
+    least reduced form with a > 0 (so classes[0] is the identity), and, once
+    composed, the invariant factors.  A form and its sign twin (-a, b, -c)
+    share a state, and the state cycle through them is the union of their
+    narrow classes: one wide class.  The form cycle is twice the state cycle
+    exactly when the state cycle is odd, and then the twins are narrowly
+    equivalent.  All cycles of one discriminant have the same parity; odd
+    cycles mean narrow = wide, i.e. a unit of norm -1 in the order.
     """
     wide_of: dict[_State, _Form] = {}
     parities = set()
@@ -488,7 +485,7 @@ def _class_data(disc: int) -> _ClassData:
             if (P, Q) == start:
                 break
             cycle.append((P, Q))
-        name = min(_state_form(P, Q, 1, disc) for P, Q in cycle)
+        name = min(_state_form(P, Q, -1, disc) for P, Q in cycle)
         for state in cycle:
             wide_of[state] = name
         parities.add(len(cycle) % 2)

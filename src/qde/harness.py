@@ -79,9 +79,9 @@ class CurveRecord:
                 f"rank and sha_order must be int, got {self.rank!r} and {self.sha_order!r}"
             )
         if self.rank < 0:
-            raise ValueError(f"rank must be >= 0, got {self.rank}")
+            raise ValueError(f"rank must be >= 0, got {_quote(self.rank)}")
         if self.sha_order < 1:
-            raise ValueError(f"sha_order must be >= 1, got {self.sha_order}")
+            raise ValueError(f"sha_order must be >= 1, got {_quote(self.sha_order)}")
         for name in _OPTIONAL_COLUMNS:
             value = getattr(self, name)
             if value is None:
@@ -89,7 +89,7 @@ class CurveRecord:
             if type(value) is not int:
                 raise TypeError(f"{name} must be int or None, got {value!r}")
             if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+                raise ValueError(f"{name} must be >= 1, got {_quote(value)}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,13 @@ def _process_switches():
             gc.enable()
 
 
+def _quote(value) -> str:
+    """The repr of an input value for a problem text: past 40 characters, its
+    first 40 and the length of the value's text, so a problem stays short."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(str(value))} characters)"
+
+
 def _build_record(fields: dict, seen: set[str]) -> CurveRecord:
     """The record of one row; a bad row raises ValueError naming its problem."""
     label = fields.get("label", "")
@@ -172,14 +179,16 @@ def _build_record(fields: dict, seen: set[str]) -> CurveRecord:
                     raise ValueError
                 ints[name] = int(text, 10)
             except ValueError:
-                raise ValueError(f"column {name!r} is not a base-10 integer: {raw!r}") from None
+                raise ValueError(
+                    f"column {name!r} is not a base-10 integer: {_quote(raw)}"
+                ) from None
     for name in ("rank", "sha_order"):
         if ints[name] is None:
             raise ValueError(f"column {name!r} is required")
     if not isinstance(label, str):
-        raise ValueError(f"label must be a string, got {label!r}")
+        raise ValueError(f"label must be a string, got {_quote(label)}")
     if label in seen:
-        raise ValueError(f"duplicate label {label!r}")
+        raise ValueError(f"duplicate label {_quote(label)}")
     record = CurveRecord(label, **ints)
     seen.add(label)
     return record
@@ -239,7 +248,7 @@ def _csv_header(reader) -> list[str]:
     if header not in _LAYOUTS:
         raise CurveDataError(
             [
-                f"line {reader.line_num}: header {','.join(header)!r} is not one of the "
+                f"line {reader.line_num}: header {_quote(','.join(header))} is not one of the "
                 f"accepted layouts label,rank,sha_order[,torsion_order][,conductor]"
             ]
         )
@@ -338,7 +347,7 @@ def _json_fields(item) -> dict:
     if not isinstance(item, dict):
         raise ValueError("expected an object")
     if unknown := set(item).difference(_COLUMNS):
-        raise ValueError(f"unknown keys {sorted(unknown)}")
+        raise ValueError(f"unknown keys {_quote(sorted(unknown))}")
     return item
 
 

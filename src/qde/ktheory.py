@@ -25,7 +25,9 @@ class KTheoryDescriptor:
     trace_generators lists the labels [1, theta, lambda_1, ..., lambda_{h-1}];
     the final abstract generator is normalized to 1 and dropped, so the count
     equals k0_rank = h + 1.  lambda_classes pairs each lambda label with the
-    nonprincipal ideal class it belongs to.
+    nonprincipal ideal class it belongs to, named by its least reduced form
+    (a, b, c) with a > 0: lambda_i is the class of companion_tori(order)[i],
+    the larger root of that form.
     """
 
     theta: QuadraticIrrational

@@ -56,15 +56,17 @@ def endomorphism_ring(theta: QuadraticIrrational) -> QuadraticOrder:
 def companion_tori(order: QuadraticOrder) -> list[QuadraticIrrational]:
     """One quadratic irrational per ideal class of the order.
 
-    Each companion is the larger root (-b + sqrt(disc))/(2a) of the
-    lexicographically least reduced form (a, b, c) with a > 0 in its class,
-    so all companions share the endomorphism order and are pairwise
-    inequivalent under GL(2, Z).  Ordered by the (a, b) of the chosen form.
+    Each companion is the larger root (-b + sqrt(disc))/(2a) of the form
+    (a, b, c) that names its wide class: the lexicographically least reduced
+    form with a > 0.  So all companions share the endomorphism order and are
+    pairwise inequivalent under GL(2, Z).  They come in the order of the
+    class names, the principal class first, so companion i >= 1 is the class
+    of crossed_product_k0's lambda_i.
     """
     from . import classgroup  # deferred: classgroup imports QuadraticOrder from here
 
     disc = order.discriminant
     return [
         QuadraticIrrational.canonical(-b, 1, 2 * a, disc)
-        for a, b, _ in classgroup._class_data(disc).positive_forms()
+        for a, b, _ in classgroup._class_data(disc).classes
     ]

@@ -172,6 +172,8 @@ class QuadraticIrrational:
     D: int
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            _check_int(name, getattr(self, name))
         _check_radicand(self.D)
         if self.c <= 0:
             raise ValueError(f"c must be positive, got {self.c}")
@@ -308,6 +310,8 @@ class QuadraticInteger:
     D: int
 
     def __post_init__(self):
+        _check_int("x", self.x)
+        _check_int("y", self.y)
         _check_radicand(self.D)
 
     @property
@@ -615,7 +619,6 @@ class _Parser:
     """
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -655,24 +658,20 @@ class _Parser:
         if self.peek() in ("+", "-"):
             sign = -1 if self.next()[0] == "-" else 1
         if self.peek() == "sqrt":
-            b, rad = self.parse_radical(1)
-            return 0, sign * b, rad
-        tok = self.expect("int")
-        value = sign * tok[1]
+            return 0, sign, self.parse_radical()
+        value = sign * self.expect("int")[1]
         if self.peek() in ("*", "sqrt"):
             # the integer was a radical coefficient, as in 2*sqrt(3)
-            b, rad = self.parse_radical(tok[1])
-            return 0, sign * b, rad
+            return 0, value, self.parse_radical()
         if self.peek() in ("+", "-"):
-            op = self.next()[0]
-            coeff = 1
+            b = -1 if self.next()[0] == "-" else 1
             if self.peek() == "int":
-                coeff = self.expect("int")[1]
-            b, rad = self.parse_radical(coeff)
-            return value, b if op == "+" else -b, rad
+                b *= self.expect("int")[1]
+            return value, b, self.parse_radical()
         return value, 0, 0
 
-    def parse_radical(self, coeff: int) -> tuple[int, int]:
+    def parse_radical(self) -> int:
+        """The radicand of ``"*"? "sqrt" "(" posint ")"``."""
         if self.peek() == "*":
             self.next()
         self.expect("sqrt")
@@ -681,7 +680,7 @@ class _Parser:
         self.expect(")")
         if rad_tok[1] < 2:
             raise ParseError(f"radicand must be >= 2, got {rad_tok[1]}", rad_tok[2])
-        return coeff, rad_tok[1]
+        return rad_tok[1]
 
 
 def parse_theta(text: str) -> QuadraticIrrational:

@@ -21,7 +21,9 @@ from conftest import FIXTURES
 from qde import harness
 from qde.cli import main
 from qde.errors import CurveDataError
+from qde.classgroup import BinaryQuadraticForm
 from qde.harness import CurveRecord, ValidationReport, parse_curves, validate
+from qde.quadratic import QuadraticIrrational
 from qde.schemas import SCHEMAS
 
 
@@ -325,6 +327,8 @@ def test_parse_names_the_row_of_a_json_count_past_the_int_digit_limit(tmp_path, 
     # refused as the same count in CSV is, whatever the caller's digit limit,
     # and so the CLI, which lifts that limit while it runs, refuses it too
     digits = "1" + "0" * 4300
+    quoted = "'1" + "0" * 38 + "... (4301 characters)"  # the problem quotes 40 characters
+    bare = "1" + "0" * 39 + "... (4301 characters)"
     csv_path, json_path = tmp_path / "big.csv", tmp_path / "big.json"
     csv_path.write_text(f"label,rank,sha_order\na,0,1\nb,{digits},1\n")
     json_path.write_text(
@@ -336,8 +340,8 @@ def test_parse_names_the_row_of_a_json_count_past_the_int_digit_limit(tmp_path, 
         for limit in (4300, 0):
             sys.set_int_max_str_digits(limit)
             for path, fmt, problem in (
-                (csv_path, "csv", f"line 3: column 'rank' is not a base-10 integer: {digits!r}"),
-                (json_path, "json", f"row 1: column 'rank' is not a base-10 integer: {digits}"),
+                (csv_path, "csv", f"line 3: column 'rank' is not a base-10 integer: {quoted}"),
+                (json_path, "json", f"row 1: column 'rank' is not a base-10 integer: {bare}"),
             ):
                 with pytest.raises(CurveDataError) as info:
                     parse_curves(str(path), format=fmt)
@@ -368,7 +372,44 @@ def test_cli_refuses_a_count_of_400000_digits_at_once(tmp_path, capsys):
             parse_curves(str(path), format="json")
     finally:
         sys.set_int_max_str_digits(saved)
-    assert info.value.problems == [f"{problem}: {'1' * 400_000}"]
+    assert info.value.problems == [f"{problem}: {'1' * 40}... (400000 characters)"]
+    assert captured.err == f"error: curve data rejected: {info.value.problems[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "name,text,fmt,problem",
+    [
+        ("duplicate-label-csv", f"label,rank,sha_order\n{'x' * 50_000},0,1\n{'x' * 50_000},1,4\n",
+         "csv", f"line 3: duplicate label '{'x' * 39}... (50000 characters)"),
+        ("duplicate-label-json",
+         f'[{{"label": "{"x" * 50_000}", "rank": 0, "sha_order": 1}},'
+         f' {{"label": "{"x" * 50_000}", "rank": 1, "sha_order": 4}}]',
+         "json", f"row 1: duplicate label '{'x' * 39}... (50000 characters)"),
+        ("label-type", f'[{{"label": [{"1, " * 20_000}1], "rank": 0, "sha_order": 1}}]',
+         "json", f"row 0: label must be a string, got [{'1, ' * 13}... (60003 characters)"),
+        ("unknown-key", f'[{{"label": "a", "rank": 0, "sha_order": 1, "{"k" * 50_000}": 1}}]',
+         "json", f"row 0: unknown keys ['{'k' * 38}... (50004 characters)"),
+        ("header", f"label,rank,{'s' * 50_000}\na,0,1\n",
+         "csv", f"line 1: header 'label,rank,{'s' * 28}... (50011 characters) is not one of the "
+         "accepted layouts label,rank,sha_order[,torsion_order][,conductor]"),
+        ("negative-rank", f"label,rank,sha_order\na,-{'9' * 4_000},1\n",
+         "csv", f"line 2: rank must be >= 0, got -{'9' * 39}... (4001 characters)"),
+    ],
+    ids=["duplicate-label-csv", "duplicate-label-json", "label-type", "unknown-key", "header",
+         "negative-rank"],
+)
+def test_problems_quote_at_most_40_characters_of_a_long_value(
+    tmp_path, capsys, name, text, fmt, problem
+):
+    # a problem used to quote the whole value, so one long cell made a line as
+    # long on stderr
+    path = tmp_path / f"{name}.{fmt}"
+    path.write_text(text)
+    with pytest.raises(CurveDataError) as info:
+        parse_curves(str(path), format=fmt)
+    assert info.value.problems == [problem]
+    assert main(["validate", "--input", str(path), "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", f"error: curve data rejected: {problem}\n")
 
 
 @pytest.mark.parametrize(
@@ -869,6 +910,33 @@ def test_readme_examples_print_their_results(capsys):
     for command, result in examples:
         assert main(shlex.split(command)[1:]) == 0, command
         assert capsys.readouterr().out == result + "\n", command
+
+
+def test_readme_library_tour_gives_the_values_its_comments_state(monkeypatch, capsys):
+    root = Path(__file__).parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)  # the tour reads tests/fixtures/curves.csv
+    tour: dict = {}
+    exec(block, tour)
+    assert capsys.readouterr().out == str(tour["report"]) + "\n"
+    comments = dict(
+        (code.strip(), comment.strip())
+        for code, _, comment in (line.partition("  #") for line in block.splitlines())
+    )
+    lambda_1 = 'crossed_product_k0(parse_theta("sqrt(10)")).lambda_classes[0]'
+    for expression, value, stated in [
+        ("cf_value(cf_expand(theta)) == theta", True, "exact round trip"),
+        ("class_number_order(QuadraticOrder(5, 2))", 1, "1,"),
+        ("class_group_structure(QuadraticOrder(10, 1)).invariant_factors", (2,), "(2,)"),
+        ('crossed_product_k0(parse_theta("sqrt(10)")).k0_rank', 3, "3"),
+        (lambda_1, BinaryQuadraticForm(2, 4, -3), "(2, 4, -3), whose larger root is companion 1"),
+    ]:
+        assert comments[expression] == stated or comments[expression].startswith(stated + " ")
+        assert eval(expression, tour) == value, expression
+    # lambda_1 is the class of companion 1: the form's larger root is that companion
+    companion = tour["companion_tori"](tour["QuadraticOrder"](10, 1))[1]
+    assert companion == QuadraticIrrational.canonical(-4, 1, 2 * 2, 40)
 
 
 def test_cli_validate_fixture(capsys):

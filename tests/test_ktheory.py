@@ -1,8 +1,13 @@
 from oracles import order_parameters
-from qde.classgroup import AbelianGroupStructure, class_number_order
+from qde.classgroup import (
+    AbelianGroupStructure,
+    _class_data,
+    _principal_form,
+    class_number_order,
+)
 from qde.ktheory import crossed_product_k0
 from qde.lattice import QuadraticOrder, companion_tori
-from qde.quadratic import parse_theta
+from qde.quadratic import QuadraticIrrational, parse_theta
 
 
 def test_descriptor_for_class_number_one():
@@ -19,6 +24,7 @@ def test_descriptor_for_sqrt10():
     assert descriptor.trace_generators == ("1", "theta", "lambda_1")
     assert descriptor.galois_group == AbelianGroupStructure((2,))
     assert len(descriptor.lambda_classes) == 1
+    assert descriptor.lambda_classes[0].as_tuple() == (2, 4, -3)
 
 
 def test_descriptor_for_nonmaximal_order():
@@ -54,3 +60,19 @@ def test_descriptor_is_invariant_across_companions():
             assert other.lambda_classes == first.lambda_classes
             assert other.order == first.order
 
+
+
+def test_lambda_i_is_the_class_of_companion_i():
+    # one representative per class: the principal form names the identity and
+    # comes first, and lambda_i is the least a > 0 form whose larger root is
+    # companion i
+    for D, f in order_parameters(3000):
+        order = QuadraticOrder(D, f)
+        disc = order.discriminant
+        data = _class_data(disc)
+        assert data.classes[0] == data.identity == _principal_form(disc), (D, f)
+        tori = companion_tori(order)
+        descriptor = crossed_product_k0(tori[0])
+        for i, form in enumerate(descriptor.lambda_classes, start=1):
+            root = QuadraticIrrational.canonical(-form.b, 1, 2 * form.a, disc)
+            assert form.a > 0 and root == tori[i], (D, f, i)

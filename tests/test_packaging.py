@@ -49,6 +49,51 @@ def test_every_import_is_used():
     assert not unused
 
 
+def _assigned_names(node) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_every_private_name_and_attribute_is_read():
+    # a stand-in for a linter's dead-code check: a module-level private name
+    # is loaded somewhere in the package, by name or as a module attribute,
+    # and an attribute a private class sets on self is read by that class
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "qde").glob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    dead = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            dead += [f"{filename}:{node.lineno} {name}" for name in _assigned_names(node)
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in loaded]
+            if not (isinstance(node, ast.ClassDef) and node.name.startswith("_")):
+                continue
+            stored, read = {}, set()
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    if isinstance(sub.ctx, ast.Store):
+                        stored.setdefault(sub.attr, sub.lineno)
+                    else:
+                        read.add(sub.attr)
+            dead += [f"{filename}:{line} {node.name}.{attr}"
+                     for attr, line in stored.items() if attr not in read]
+    assert not dead
+
+
 def test_pyproject_declares_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -20,7 +20,7 @@ from oracles import (
     unit_by_norm_scan,
     unit_by_period_walk,
 )
-from qde.classgroup import _class_data, class_number_maximal
+from qde.classgroup import BinaryQuadraticForm, _class_data, class_number_maximal
 from qde.errors import FieldMismatchError, InvariantError, ParseError, RationalValueError
 from qde.lattice import QuadraticOrder, companion_tori
 from qde import quadratic
@@ -165,6 +165,26 @@ def test_one_radicand_check_takes_only_ints(build, args, error, text):
         build(*args)
     assert str(info.value) == text
     assert _class_data.cache_info() == before
+
+
+@pytest.mark.parametrize(
+    "build,args,text",
+    [
+        # these printed True+sqrt(5), gave the norm 2.75 and printed (True, 1, -1)
+        (QuadraticIrrational, (True, 1, 1, 5), "a must be an int, got True"),
+        (QuadraticIrrational, (0, 1.0, 1, 5), "b must be an int, got 1.0"),
+        (QuadraticIrrational, (0, 1, 2.0, 5), "c must be an int, got 2.0"),
+        (QuadraticInteger, (1.5, 1, 5), "x must be an int, got 1.5"),
+        (QuadraticInteger, (1, "1", 5), "y must be an int, got '1'"),
+        (BinaryQuadraticForm, (True, 1, -1), "a must be an int, got True"),
+        (BinaryQuadraticForm, (1, 1.0, -1), "b must be an int, got 1.0"),
+        (BinaryQuadraticForm, (1, 1, -1.0), "c must be an int, got -1.0"),
+    ],
+)
+def test_value_types_take_only_int_coefficients(build, args, text):
+    with pytest.raises(TypeError) as info:
+        build(*args)
+    assert str(info.value) == text
 
 
 @given(
