@@ -377,33 +377,30 @@ def test_cli_refuses_a_count_of_400000_digits_at_once(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name,text,fmt,problem",
+    "text,fmt,problem",
     [
-        ("duplicate-label-csv", f"label,rank,sha_order\n{'x' * 50_000},0,1\n{'x' * 50_000},1,4\n",
+        (f"label,rank,sha_order\n{'x' * 50_000},0,1\n{'x' * 50_000},1,4\n",
          "csv", f"line 3: duplicate label '{'x' * 39}... (50000 characters)"),
-        ("duplicate-label-json",
-         f'[{{"label": "{"x" * 50_000}", "rank": 0, "sha_order": 1}},'
+        (f'[{{"label": "{"x" * 50_000}", "rank": 0, "sha_order": 1}},'
          f' {{"label": "{"x" * 50_000}", "rank": 1, "sha_order": 4}}]',
          "json", f"row 1: duplicate label '{'x' * 39}... (50000 characters)"),
-        ("label-type", f'[{{"label": [{"1, " * 20_000}1], "rank": 0, "sha_order": 1}}]',
+        (f'[{{"label": [{"1, " * 20_000}1], "rank": 0, "sha_order": 1}}]',
          "json", f"row 0: label must be a string, got [{'1, ' * 13}... (60003 characters)"),
-        ("unknown-key", f'[{{"label": "a", "rank": 0, "sha_order": 1, "{"k" * 50_000}": 1}}]',
+        (f'[{{"label": "a", "rank": 0, "sha_order": 1, "{"k" * 50_000}": 1}}]',
          "json", f"row 0: unknown keys ['{'k' * 38}... (50004 characters)"),
-        ("header", f"label,rank,{'s' * 50_000}\na,0,1\n",
+        (f"label,rank,{'s' * 50_000}\na,0,1\n",
          "csv", f"line 1: header 'label,rank,{'s' * 28}... (50011 characters) is not one of the "
          "accepted layouts label,rank,sha_order[,torsion_order][,conductor]"),
-        ("negative-rank", f"label,rank,sha_order\na,-{'9' * 4_000},1\n",
+        (f"label,rank,sha_order\na,-{'9' * 4_000},1\n",
          "csv", f"line 2: rank must be >= 0, got -{'9' * 39}... (4001 characters)"),
     ],
     ids=["duplicate-label-csv", "duplicate-label-json", "label-type", "unknown-key", "header",
          "negative-rank"],
 )
-def test_problems_quote_at_most_40_characters_of_a_long_value(
-    tmp_path, capsys, name, text, fmt, problem
-):
+def test_problems_quote_at_most_40_characters_of_a_long_value(tmp_path, capsys, text, fmt, problem):
     # a problem used to quote the whole value, so one long cell made a line as
     # long on stderr
-    path = tmp_path / f"{name}.{fmt}"
+    path = tmp_path / f"rows.{fmt}"
     path.write_text(text)
     with pytest.raises(CurveDataError) as info:
         parse_curves(str(path), format=fmt)
@@ -935,8 +932,9 @@ def test_readme_library_tour_gives_the_values_its_comments_state(monkeypatch, ca
         assert comments[expression] == stated or comments[expression].startswith(stated + " ")
         assert eval(expression, tour) == value, expression
     # lambda_1 is the class of companion 1: the form's larger root is that companion
+    form = eval(lambda_1, tour)
     companion = tour["companion_tori"](tour["QuadraticOrder"](10, 1))[1]
-    assert companion == QuadraticIrrational.canonical(-4, 1, 2 * 2, 40)
+    assert companion == QuadraticIrrational.canonical(-form.b, 1, 2 * form.a, 40)
 
 
 def test_cli_validate_fixture(capsys):

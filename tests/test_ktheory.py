@@ -61,7 +61,6 @@ def test_descriptor_is_invariant_across_companions():
             assert other.order == first.order
 
 
-
 def test_lambda_i_is_the_class_of_companion_i():
     # one representative per class: the principal form names the identity and
     # comes first, and lambda_i is the least a > 0 form whose larger root is
